@@ -39,7 +39,13 @@ from .refine import (
     refined_tau,
     u1_gauss_unit,
 )
-from .scalars import ExtScalar, ScalarError, scalar_to_json, su_parameters
+from .scalars import (
+    MIN_PRECISION,
+    ExtScalar,
+    ScalarError,
+    scalar_to_json,
+    su_parameters,
+)
 from .surgery import (
     PlumbingGraph,
     PlumbingVertex,
@@ -493,8 +499,9 @@ def main(argv=None) -> int:
     if args.N < 2 or args.K < 1:
         print("usage error: need N >= 2 and K >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "precision", 15) < 1:
-        print("usage error: precision must be positive", file=sys.stderr)
+    if args.precision < MIN_PRECISION:
+        print(f"usage error: precision must be at least {MIN_PRECISION} "
+              "digits", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .diagrams import (
     EMPTY,
@@ -32,53 +33,65 @@ THEORIES = ("su", "psu", "reduced")
 # S-matrix entries
 # ---------------------------------------------------------------------------
 
-def _schur_at_powers(ctx: RingContext, lam: YoungDiagram,
-                     exponents: list[int]) -> CycScalar:
-    """Schur polynomial s_lam evaluated at (zeta^e1, ..., zeta^eN) via the
-    bialternant quotient of alternating sums."""
+@lru_cache(maxsize=None)
+def _signed_permutations(N: int) -> tuple:
+    """(permutation, sign) for every permutation of range(N)."""
+    out = []
+    for pi in itertools.permutations(range(N)):
+        inversions = sum(pi[i] > pi[j] for i in range(N) for j in range(i + 1, N))
+        out.append((pi, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def _alternant(ctx: RingContext, exponents: list[int],
+               powers: list[int]) -> CycScalar:
+    """det(zeta^(exponents[i] * powers[j])), summed over permutations."""
+    N = ctx.N
+    total = ctx.zero()
+    for pi, sign in _signed_permutations(N):
+        term = ctx.zeta(sum(exponents[i] * powers[pi[i]] for i in range(N)))
+        total = total + term if sign == 1 else total - term
+    return total
+
+
+def s_matrix_column(ctx: RingContext, mu) -> tuple:
+    """The factors of S_{lam,mu} that depend on mu alone: the Schur
+    evaluation exponents s^(2(mu+rho)), the inverse of the Vandermonde
+    alternant at them, and <mu>."""
+    mu = mu.diagram if isinstance(mu, ReducedLabel) else mu
     N = ctx.N
     rho = list(range(N - 1, -1, -1))
-    top = [lam.row(i) + rho[i] for i in range(N)]
-
-    def alternant(powers: list[int]) -> CycScalar:
-        total = ctx.zero()
-        for pi in itertools.permutations(range(N)):
-            sign = 1
-            for i in range(N):
-                for j in range(i + 1, N):
-                    if pi[i] > pi[j]:
-                        sign = -sign
-            e = sum(exponents[i] * powers[pi[i]] for i in range(N))
-            term = ctx.zeta(e % ctx.M)
-            total = total + (sign * term if sign == 1 else -term)
-        return total
-
-    den = alternant(rho)
-    if den.is_zero():
+    exps = [(2 * ctx.s_exp * (mu.row(i) + rho[i])) % ctx.M for i in range(N)]
+    vandermonde = _alternant(ctx, exps, rho)
+    if vandermonde.is_zero():
         raise ScalarError("Vandermonde denominator vanished; label outside the box")
-    return alternant(top) * den.invert()
+    return exps, vandermonde.invert(), quantum_dimension(ctx, mu)
 
 
-def s_matrix_entry(ctx: RingContext, lam, mu) -> CycScalar:
+def s_matrix_entry(ctx: RingContext, lam, mu, column: tuple | None = None) -> CycScalar:
     """Colored Hopf-link value.
 
-    For diagrams: S = a^(2|lam||mu|) s^(-(N-1)|lam|) s_lam(s^(2(mu+rho))) <mu>.
-    For reduced labels the column-object crossing factor a^N s extends it
-    bilinearly in the two column powers.
+    For diagrams: S = a^(2|lam||mu|) s^(-(N-1)|lam|) s_lam(s^(2(mu+rho))) <mu>,
+    with the Schur polynomial as the bialternant quotient.  For reduced
+    labels the column-object crossing factor a^N s extends it bilinearly in
+    the two column powers.  ``column`` is ``s_matrix_column(ctx, mu)``, for
+    callers that evaluate many entries of one column.
     """
+    if column is None:
+        column = s_matrix_column(ctx, mu)
     if isinstance(lam, ReducedLabel) or isinstance(mu, ReducedLabel):
         i, lam_d = (lam.i, lam.diagram) if isinstance(lam, ReducedLabel) else (0, lam)
         j, mu_d = (mu.i, mu.diagram) if isinstance(mu, ReducedLabel) else (0, mu)
         cross = ctx.a(ctx.N) * ctx.s()
         expo = 2 * (i * j * ctx.N + i * mu_d.size + j * lam_d.size)
-        return cross ** expo * s_matrix_entry(ctx, lam_d, mu_d)
+        return cross ** expo * s_matrix_entry(ctx, lam_d, mu_d, column)
     N = ctx.N
-    rho = list(range(N - 1, -1, -1))
-    exps = [(2 * ctx.s_exp * (mu.row(i) + rho[i])) % ctx.M for i in range(N)]
-    val = _schur_at_powers(ctx, lam, exps)
+    exps, inv_vandermonde, dim_mu = column
+    top = [lam.row(i) + N - 1 - i for i in range(N)]
+    val = _alternant(ctx, exps, top) * inv_vandermonde
     pref = ctx.zeta((2 * ctx.a_exp * lam.size * mu.size
                      - (N - 1) * ctx.s_exp * lam.size) % ctx.M)
-    return pref * val * quantum_dimension(ctx, mu)
+    return pref * val * dim_mu
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +175,9 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     dims = [quantum_dimension(ctx, lab) for lab in labels]
     twists = [twist_coefficient(ctx, lab) for lab in labels]
     n = len(labels)
-    s_matrix = [[s_matrix_entry(ctx, labels[i], labels[j]) for j in range(n)]
-                for i in range(n)]
+    columns = [s_matrix_column(ctx, mu) for mu in labels]
+    s_matrix = [[s_matrix_entry(ctx, lam, mu, col)
+                 for mu, col in zip(labels, columns)] for lam in labels]
 
     omega = ctx.zero()
     dplus = ctx.zero()
@@ -188,12 +202,13 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     else:
         report["delta_product"] = dplus * dminus == omega
     # modularity S S-bar = omega I
+    s_conj = [[x.conjugate() for x in row] for row in s_matrix]
     modular = True
     for i in range(n):
         for j in range(n):
             acc = ctx.zero()
             for k in range(n):
-                acc = acc + s_matrix[i][k] * s_matrix[j][k].conjugate()
+                acc = acc + s_matrix[i][k] * s_conj[j][k]
             want = omega if i == j else ctx.zero()
             if acc != want:
                 modular = False
@@ -213,10 +228,6 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     return data
 
 
-def global_constants(data: ModularData):
-    return data.omega, data.delta_plus, data.delta_minus
-
-
 # ---------------------------------------------------------------------------
 # fusion
 # ---------------------------------------------------------------------------
@@ -229,12 +240,13 @@ def fusion_coefficients(data: ModularData, lam: YoungDiagram, mu: YoungDiagram) 
     i_l, i_m = data.index(lam), data.index(mu)
     out = {}
     omega_inv = data.omega.invert()
+    # S_lk S_mk / <k>, shared by every nu
+    weights = [data.s_matrix[i_l][k] * data.s_matrix[i_m][k] * data.dims[k].invert()
+               for k in range(n)]
     for i_n in range(n):
         acc = ctx.zero()
         for k in range(n):
-            term = data.s_matrix[i_l][k] * data.s_matrix[i_m][k] \
-                * data.s_matrix[i_n][k].conjugate() * data.dims[k].invert()
-            acc = acc + term
+            acc = acc + weights[k] * data.s_matrix[i_n][k].conjugate()
         val = acc * omega_inv
         if val.is_zero():
             continue

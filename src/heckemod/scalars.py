@@ -2,9 +2,13 @@
 
 All quantities of the theory (the framing parameter ``a``, the quantum
 parameter ``s``, quantum integers, link evaluations) live in Q(zeta_M) for a
-single root order M.  Elements are represented by rational coefficient
-vectors of length deg(Phi_M), reduced modulo the M-th cyclotomic polynomial.
-No floating point is used outside of :meth:`CycScalar.embed`.
+single root order M.  An element is a vector of Python integers over one
+shared positive denominator, in the power basis 1, zeta, ..., zeta^(d-1) with
+d = deg(Phi_M), reduced modulo the monic integer cyclotomic polynomial.  The
+form is canonical (denominator positive and coprime to the numerators), so
+equal elements have equal integer tuples.  Fractions appear only at the
+boundary (:attr:`CycScalar.coeffs`, JSON) and floating point only in
+:meth:`CycScalar.embed`.
 """
 
 from __future__ import annotations
@@ -12,9 +16,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import add, sub
+from typing import Iterable
 
 import mpmath
+
+
+# fewest significant digits of a complex embedding
+MIN_PRECISION = 15
 
 
 class ScalarError(ValueError):
@@ -62,6 +71,12 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _trim(poly: list[int]) -> list[int]:
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
 # ---------------------------------------------------------------------------
 # the cyclotomic ring context
 # ---------------------------------------------------------------------------
@@ -90,24 +105,25 @@ class RingContext:
         self.n_prime = N // self.d
         self.k_prime = K // self.d
         self.cyclotomic_poly = cyclotomic_polynomial(M)
-        self.degree = len(self.cyclotomic_poly) - 1
-        # reduction rows: x^k mod Phi_M for k = degree .. 2*degree - 2
-        rows = []
-        prev = [Fraction(0)] * self.degree
-        # x^degree = -(lower coefficients) since Phi_M is monic
-        base = [Fraction(-c) for c in self.cyclotomic_poly[:-1]]
-        rows.append(tuple(base))
-        prev = base
-        for _ in range(self.degree - 2):
-            shifted = [Fraction(0)] + prev[:-1]
-            top = prev[-1]
+        deg = self.degree = len(self.cyclotomic_poly) - 1
+        # Phi_M is monic: x^deg = sum of p * x^i over these (i, p) terms
+        self._phi_tail = tuple((i, -c) for i, c in
+                               enumerate(self.cyclotomic_poly[:-1]) if c)
+        # zeta^k in the power basis, as sparse (index, coefficient) terms,
+        # for k = 0 .. M-1; conjugation and zeta() read this table
+        terms = []
+        vec = [1] + [0] * deg
+        for _ in range(M):
+            top = vec[deg]
             if top:
-                shifted = [shifted[i] + top * base[i] for i in range(self.degree)]
-            rows.append(tuple(shifted))
-            prev = list(shifted)
-        self._reduction_rows = rows
+                for i, p in self._phi_tail:
+                    vec[i] += top * p
+            terms.append(tuple((i, c) for i, c in enumerate(vec[:deg]) if c))
+            vec = [0] + vec[:deg]
+        self._zeta_terms = tuple(terms)
+        self._conj_terms = tuple(terms[-k % M] for k in range(deg))
         self._zeta_pows: dict[int, CycScalar] = {}
-        self._zero = CycScalar(self, (Fraction(0),) * self.degree)
+        self._zero = CycScalar(self, (0,) * deg)
         self._one = self.from_rational(1)
 
     # -- construction -----------------------------------------------------
@@ -119,31 +135,29 @@ class RingContext:
         return self._one
 
     def from_rational(self, q) -> "CycScalar":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(q)
-        return CycScalar(self, tuple(coeffs))
+        q = Fraction(q)
+        return CycScalar(self, (q.numerator,) + (0,) * (self.degree - 1),
+                         q.denominator)
 
     def from_coeffs(self, coeffs: Iterable) -> "CycScalar":
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.degree:
             raise ScalarError("coefficient vector longer than field degree")
         cs += [Fraction(0)] * (self.degree - len(cs))
-        return CycScalar(self, tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return _canonical(self, tuple(c.numerator * (den // c.denominator)
+                                      for c in cs), den)
 
     def zeta(self, k: int = 1) -> "CycScalar":
         """zeta_M^k as a canonical-form element."""
         k %= self.M
         cached = self._zeta_pows.get(k)
-        if cached is not None:
-            return cached
-        if k < self.degree:
-            coeffs = [Fraction(0)] * self.degree
-            coeffs[k] = Fraction(1)
-            val = CycScalar(self, tuple(coeffs))
-        else:
-            val = self.zeta(k - 1) * self.zeta(1)
-        self._zeta_pows[k] = val
-        return val
+        if cached is None:
+            nums = [0] * self.degree
+            for i, c in self._zeta_terms[k]:
+                nums[i] = c
+            cached = self._zeta_pows[k] = CycScalar(self, tuple(nums))
+        return cached
 
     # -- named parameters ---------------------------------------------------
 
@@ -192,76 +206,109 @@ class RingContext:
                 f"theory={self.theory!r})")
 
 
+def _canonical(ring: RingContext, nums: tuple, den: int) -> "CycScalar":
+    """nums/den with the common factor removed and the denominator positive."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = tuple(x // g for x in nums)
+        den //= g
+    return CycScalar(ring, nums, den)
+
+
 class CycScalar:
-    """An element of Q(zeta_M) in canonical reduced form."""
+    """An element nums/den of Q(zeta_M) in canonical form.
 
-    __slots__ = ("ring", "coeffs")
+    ``nums`` is a tuple of deg(Phi_M) integers (power-basis coefficients
+    times ``den``), ``den`` a positive integer with gcd(den, *nums) == 1;
+    zero is all-zero over 1.  The constructor trusts its arguments to be
+    canonical: build values from outside through the ring's ``from_*``
+    methods.
+    """
 
-    def __init__(self, ring: RingContext, coeffs: tuple):
-        if len(coeffs) != ring.degree:
+    __slots__ = ("ring", "nums", "den")
+
+    def __init__(self, ring: RingContext, nums: tuple, den: int = 1):
+        if len(nums) != ring.degree:
             raise ScalarError("coefficient vector has wrong length")
         self.ring = ring
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- ring operations ----------------------------------------------------
 
-    def _check(self, other: "CycScalar") -> None:
-        if self.ring is not other.ring and self.ring.M != other.ring.M:
-            raise ScalarError("cannot combine scalars from different cyclotomic fields")
+    def _operand(self, other):
+        """other as a scalar of this field, or NotImplemented."""
+        if isinstance(other, CycScalar):
+            if self.ring is not other.ring and self.ring.M != other.ring.M:
+                raise ScalarError(
+                    "cannot combine scalars from different cyclotomic fields")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.ring.from_rational(other)
+        return NotImplemented
+
+    def _combine(self, other, op):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            nums = tuple(map(op, self.nums, other.nums))
+            if d1 == 1:
+                return CycScalar(self.ring, nums)
+            return _canonical(self.ring, nums, d1)
+        g = math.gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        nums = tuple(op(x * m1, y * m2) for x, y in zip(self.nums, other.nums))
+        return _canonical(self.ring, nums, d1 * m1)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return CycScalar(self.ring, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return CycScalar(self.ring, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return CycScalar(self.ring, tuple(-x for x in self.coeffs))
+        return CycScalar(self.ring, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        deg = self.ring.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y:
+        ring = self.ring
+        deg = ring.degree
+        terms = [(j, y) for j, y in enumerate(other.nums) if y]
+        # schoolbook product, then reduce the top half with x^deg = tail
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in terms:
                     prod[i + j] += x * y
-        out = prod[:deg]
-        rows = self.ring._reduction_rows
-        for k in range(deg, 2 * deg - 1):
+        tail = ring._phi_tail
+        for k in range(2 * deg - 2, deg - 1, -1):
             c = prod[k]
             if c:
-                row = rows[k - deg]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycScalar(self.ring, tuple(out))
+                base = k - deg
+                for i, p in tail:
+                    prod[base + i] += c * p
+        den = self.den * other.den
+        if den == 1:
+            return CycScalar(ring, tuple(prod[:deg]))
+        return _canonical(ring, tuple(prod[:deg]), den)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def _coerce(self, other):
-        if isinstance(other, CycScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.from_rational(other)
-        return NotImplemented
+        return self._operand(other) - self
 
     def __pow__(self, n: int) -> "CycScalar":
         if n < 0:
@@ -276,66 +323,93 @@ class CycScalar:
         return result
 
     def invert(self) -> "CycScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_M."""
+        """Multiplicative inverse by a fraction-free extended Euclidean
+        algorithm on integer polynomials.
+
+        Each remainder r is kept with a cofactor s such that r = s * nums
+        modulo Phi_M; both are scaled by integers only and divided by their
+        common content after every reduction.  Phi_M is irreducible, so the
+        last remainder is a nonzero integer c and 1/nums = s/c.
+        """
         if self.is_zero():
             raise ScalarError("division by zero in the cyclotomic field")
-        phi = [Fraction(c) for c in self.ring.cyclotomic_poly]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd (Phi_M is irreducible)
-        while r0 and not r0[-1]:
-            r0.pop()
-        if len(r0) != 1:
-            raise ScalarError("element is a zero divisor; input was not canonical")
-        inv_lead = 1 / r0[0]
-        coeffs = [c * inv_lead for c in s0]
-        return self.ring.from_coeffs(coeffs[: self.ring.degree])
+        r0, s0 = list(self.ring.cyclotomic_poly), []
+        r1, s1 = _trim(list(self.nums)), [1]
+        while len(r1) > 1:
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                a, b = r0[-1], lead
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+                shift = len(r0) - len(r1)
+                # r0 <- b*r0 - a*x^shift*r1, and the same on the cofactors
+                r0 = [b * c for c in r0]
+                for i, c in enumerate(r1):
+                    r0[shift + i] -= a * c
+                s0 = [b * c for c in s0] + [0] * (shift + len(s1) - len(s0))
+                for i, c in enumerate(s1):
+                    s0[shift + i] -= a * c
+                _trim(r0)
+            if not r0:
+                raise ScalarError(
+                    "element is a zero divisor; input was not canonical")
+            g = math.gcd(*r0, *s0)
+            if g != 1:
+                r0 = [c // g for c in r0]
+                s0 = [c // g for c in s0]
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        # self = nums/den, so 1/self = den * s1 / r1[0]
+        deg = self.ring.degree
+        nums = [self.den * c for c in _trim(s1)]
+        return _canonical(self.ring, tuple(nums + [0] * (deg - len(nums))),
+                          r1[0])
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         return self * other.invert()
 
     def conjugate(self) -> "CycScalar":
-        """Complex conjugation, zeta -> zeta^(M-1)."""
-        out = self.ring.zero()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + c * self.ring.zeta((-k) % self.ring.M)
-        return out
+        """Complex conjugation, zeta -> zeta^(M-1), as a precomputed integer
+        map on the power basis (it preserves the content, so the result stays
+        canonical)."""
+        out = [0] * self.ring.degree
+        for x, terms in zip(self.nums, self.ring._conj_terms):
+            if x:
+                for i, c in terms:
+                    out[i] += x * c
+        return CycScalar(self.ring, tuple(out), self.den)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError("scalar is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.from_rational(other)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return self.ring.M == other.ring.M and self.coeffs == other.coeffs
+        return (self.ring.M == other.ring.M and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.ring.M, self.coeffs))
+        return hash((self.ring.M, self.nums, self.den))
 
     # -- embedding ------------------------------------------------------------
 
     def embed(self, precision: int = 15):
         """Numerical value at zeta = exp(2*pi*i/M), as an mpmath complex number."""
-        if precision < 15:
-            raise ScalarError("precision must be at least 15 digits")
+        if precision < MIN_PRECISION:
+            raise ScalarError(
+                f"precision must be at least {MIN_PRECISION} digits")
         with mpmath.workdps(precision + 15):
             root = mpmath.exp(2j * mpmath.pi / self.ring.M)
             acc = mpmath.mpc(0)
@@ -350,42 +424,6 @@ class CycScalar:
         terms = [f"{c}*z^{k}" if k else f"{c}"
                  for k, c in enumerate(self.coeffs) if c]
         return "CycScalar(" + (" + ".join(terms) or "0") + f"; M={self.ring.M})"
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    den = list(den)
-    while den and not den[-1]:
-        den.pop()
-    quot = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    while True:
-        while num and not num[-1]:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        lead = num[-1] / den[-1]
-        quot[shift] += lead
-        for i, c in enumerate(den):
-            num[shift + i] -= lead * c
-    return quot, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +486,10 @@ class ExtScalar:
         return self.eta_pow == other.eta_pow and self.base == other.base
 
     def __hash__(self):
-        return hash((self.base, self.eta_pow, self.theory))
+        # a zero base equals zero at either eta parity, so the parity must
+        # not reach the hash then
+        parity = self.eta_pow if not self.base.is_zero() else 0
+        return hash((self.base, parity, self.theory))
 
     def embed(self, precision: int = 15):
         val = self.base.embed(precision)

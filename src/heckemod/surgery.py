@@ -103,18 +103,38 @@ class PlumbingGraph:
 
 
 def parse_plumbing(document: dict) -> PlumbingGraph:
-    """Build a validated plumbing forest from its JSON document."""
+    """Build a validated plumbing forest from its JSON document.
+
+    Framings must be JSON integers (not booleans, floats or strings) and
+    each edge a list of two vertex ids; anything else raises ScalarError
+    naming the bad record.
+    """
     if not isinstance(document, dict):
         raise ScalarError("plumbing document must be an object")
+    records = document.get("vertices", [])
+    if not isinstance(records, list):
+        raise ScalarError(f"'vertices' must be a list, got {records!r}")
     vertices = []
-    for rec in document.get("vertices", []):
-        if "id" not in rec or "framing" not in rec:
-            raise ScalarError("vertex record needs 'id' and 'framing'")
+    for rec in records:
+        if not isinstance(rec, dict) or "id" not in rec or "framing" not in rec:
+            raise ScalarError(f"vertex record needs 'id' and 'framing': {rec!r}")
+        framing = rec["framing"]
+        if isinstance(framing, bool) or not isinstance(framing, int):
+            raise ScalarError(f"framing of vertex {rec['id']!r} must be an "
+                              f"integer, got {framing!r}")
         color = rec.get("link")
-        vertices.append(PlumbingVertex(str(rec["id"]), int(rec["framing"]),
+        if color is not None and not isinstance(color, dict):
+            raise ScalarError(f"link color of vertex {rec['id']!r} must be an "
+                              f"object, got {color!r}")
+        vertices.append(PlumbingVertex(str(rec["id"]), framing,
                                        color=dict(color) if color else None))
-    edges = [(str(u), str(v)) for (u, v) in document.get("edges", [])]
-    return PlumbingGraph(vertices, edges)
+    edges = document.get("edges", [])
+    if not isinstance(edges, list):
+        raise ScalarError(f"'edges' must be a list, got {edges!r}")
+    for edge in edges:
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise ScalarError(f"edge {edge!r} must be a list of two vertex ids")
+    return PlumbingGraph(vertices, [(str(u), str(v)) for u, v in edges])
 
 
 def plumbing_to_json(g: PlumbingGraph) -> dict:

@@ -134,7 +134,30 @@ def test_usage_errors(capsys):
                  "--all-structures"]) == 1
     assert main(["invariant", "--manifold", manifest_path("u0"), "2", "2",
                  "--all-structures"]) == 1
+    # below the embedding's minimum, rejected before any computation
+    assert main(["modular-data", "2", "2", "--precision", "14"]) == 1
+    assert main(["homfly", "--braid", "1", "--strands", "2", "2", "2",
+                 "--precision", "0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": [{"id": "a", "framing": 1.7}]},
+    {"vertices": [{"id": "a", "framing": True}]},
+    {"vertices": [{"id": "a", "framing": "1"}]},
+    {"vertices": [{"id": "a", "framing": 1}], "edges": [["a"]]},
+    {"vertices": 5},
+], ids=["float-framing", "bool-framing", "string-framing", "short-edge",
+        "vertices-not-list"])
+def test_malformed_plumbing_exit(doc, tmp_path, capsys):
+    # a malformed document is a computation error naming the bad record,
+    # never a coerced value or a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["invariant", "--manifold", str(path), "2", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("computation error:")
 
 
 def test_computation_error_exit(capsys):

@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckemod.scalars import (
-    CycScalar,
-    RingContext,
+    ExtScalar,
     ScalarError,
     cyclotomic_polynomial,
     reduced_framing_split,
@@ -184,3 +186,192 @@ def test_json_round_trip(ctx22):
 def test_pow_negative(ctx22):
     x = ctx22.quantum_integer(2)
     assert x ** (-2) == (x * x).invert()
+
+
+def test_ext_scalar_zero_hash_agrees_with_eq(ctx22):
+    omega = ctx22.from_rational(4)
+    zero0 = ExtScalar(ctx22.zero(), 0, "su", omega)
+    zero1 = ExtScalar(ctx22.zero(), 1, "su", omega)
+    assert zero0 == zero1
+    assert hash(zero0) == hash(zero1)
+    assert len({zero0, zero1}) == 1
+    one0 = ExtScalar(ctx22.one(), 0, "su", omega)
+    one1 = ExtScalar(ctx22.one(), 1, "su", omega)
+    assert one0 != one1 and len({one0, one1}) == 2
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the integer core: schoolbook product with long
+# division by Phi_M, and the extended Euclidean inverse over Q
+# ---------------------------------------------------------------------------
+
+def _ref_reduce(phi, poly):
+    """poly mod the monic phi, as a Fraction list of length deg(phi)."""
+    deg = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * deg
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for i, p in enumerate(phi):
+                poly[k - deg + i] -= c * p
+    return poly[:deg]
+
+
+def _ref_mul(phi, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(phi, prod)
+
+
+def _ref_trim(poly):
+    poly = list(poly)
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _ref_divmod(num, den):
+    num, den = _ref_trim(num), _ref_trim(den)
+    quot = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    while len(num) >= len(den):
+        shift = len(num) - len(den)
+        lead = num[-1] / den[-1]
+        quot[shift] += lead
+        for i, c in enumerate(den):
+            num[shift + i] -= lead * c
+        num = _ref_trim(num)
+    return quot, num
+
+
+def _ref_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def _ref_inverse(phi, a):
+    r0, r1 = [Fraction(c) for c in phi], list(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, rem = _ref_divmod(r0, r1)
+        r0, r1 = r1, rem
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                prod[i + j] += x * y
+        s0, s1 = s1, _ref_sub(s0, prod)
+    r0 = _ref_trim(r0)
+    assert len(r0) == 1
+    return _ref_reduce(phi, [c / r0[0] for c in s0])
+
+
+def _ref_conjugate(phi, M, a):
+    out = [Fraction(0)] * (len(phi) - 1)
+    for k, c in enumerate(a):
+        zeta_inv = _ref_reduce(phi, [0] * ((-k) % M) + [1])
+        out = [x + c * z for x, z in zip(out, zeta_inv)]
+    return out
+
+
+# field degrees 8, 16 and 32, with Phi_20, Phi_48 and Phi_80
+ORACLE_RINGS = {deg: su_parameters(N, K)
+                for deg, (N, K) in {8: (2, 3), 16: (4, 2), 32: (5, 3)}.items()}
+
+_coefficient = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def _scalars(draw, deg):
+    ctx = ORACLE_RINGS[deg]
+    coeffs = draw(st.lists(_coefficient, min_size=deg, max_size=deg))
+    return ctx.from_coeffs(coeffs)
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == x.ring.degree
+
+
+oracle = settings(max_examples=20, deadline=None)
+
+
+@pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
+def test_mul_matches_fraction_reference(deg):
+    ctx = ORACLE_RINGS[deg]
+
+    @oracle
+    @given(_scalars(deg), _scalars(deg))
+    def check(x, y):
+        prod = x * y
+        _assert_canonical(prod)
+        assert list(prod.coeffs) == _ref_mul(ctx.cyclotomic_poly,
+                                             x.coeffs, y.coeffs)
+
+    check()
+
+
+@pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
+def test_invert_matches_fraction_reference(deg):
+    ctx = ORACLE_RINGS[deg]
+
+    @oracle
+    @given(_scalars(deg))
+    def check(x):
+        if x.is_zero():
+            with pytest.raises(ScalarError):
+                x.invert()
+            return
+        inv = x.invert()
+        _assert_canonical(inv)
+        assert list(inv.coeffs) == _ref_inverse(ctx.cyclotomic_poly, x.coeffs)
+        assert x * inv == ctx.one()
+
+    check()
+
+
+@pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
+def test_conjugate_matches_fraction_reference(deg):
+    ctx = ORACLE_RINGS[deg]
+
+    @oracle
+    @given(_scalars(deg))
+    def check(x):
+        conj = x.conjugate()
+        _assert_canonical(conj)
+        assert list(conj.coeffs) == _ref_conjugate(ctx.cyclotomic_poly,
+                                                   ctx.M, x.coeffs)
+
+    check()
+
+
+@pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
+def test_canonical_form_and_json_round_trip(deg):
+    ctx = ORACLE_RINGS[deg]
+
+    @oracle
+    @given(_scalars(deg), _scalars(deg))
+    def check(x, y):
+        # the same value reached by different routes has one representation
+        for other in ((x + y) - y, -(-x), x - y + y,
+                      ctx.from_coeffs(x.coeffs)):
+            _assert_canonical(other)
+            assert (other.nums, other.den) == (x.nums, x.den)
+            assert other == x and hash(other) == hash(x)
+        if not y.is_zero():
+            z = x * y / y
+            assert (z.nums, z.den, hash(z)) == (x.nums, x.den, hash(x))
+        doc = scalar_to_json(x)
+        assert doc["num"] == [c.numerator for c in x.coeffs]
+        assert doc["den"] == [c.denominator for c in x.coeffs]
+        assert all(math.gcd(n, d) == 1 and d > 0
+                   for n, d in zip(doc["num"], doc["den"]))
+        back = scalar_from_json(doc, ctx)
+        assert (back.nums, back.den) == (x.nums, x.den)
+
+    check()
