@@ -48,11 +48,11 @@ from .scalars import (
 )
 from .surgery import (
     PlumbingGraph,
-    PlumbingVertex,
     colored_bracket,
     disjoint_union,
     linking_data,
     parse_plumbing,
+    random_forest,
     single_vertex,
     tau,
 )
@@ -277,14 +277,6 @@ def _is_one(value: ExtScalar) -> bool:
                               value.omega)
 
 
-def _random_forest(rng, max_vertices=4):
-    n = rng.randint(1, max_vertices)
-    verts = [PlumbingVertex(f"v{i}", rng.randint(-3, 3)) for i in range(n)]
-    edges = [(f"v{rng.randrange(i)}", f"v{i}")
-             for i in range(1, n) if rng.random() < 0.6]
-    return PlumbingGraph(verts, edges)
-
-
 def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
     """Every identity gate applicable at (N, K); name -> pass/fail."""
     full = depth == "full"
@@ -352,12 +344,12 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
     ok_blow = ok_mult = True
     for _ in range(10 if full else 3):
         for data in (su, red):
-            g_ = _random_forest(rng)
+            g_ = random_forest(rng)
             base = tau(g_, data)
             for fr in (1, -1):
                 blown = disjoint_union(g_, single_vertex(fr, "blow"))
                 ok_blow &= tau(blown, data).value == base.value
-            other = _random_forest(rng, max_vertices=2)
+            other = random_forest(rng, max_vertices=2)
             ok_mult &= tau(disjoint_union(g_, other), data).value == \
                 base.value * tau(other, data).value
     gates["blow_up_invariance"] = ok_blow

@@ -24,20 +24,6 @@ def _identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def perm_cycles(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-    return count
-
-
 def perm_length(p: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
@@ -281,8 +267,8 @@ def _f2(ring: RingContext) -> HeckeElement:
 
 
 def _symmetrizer_cached(n: int, kind: str, ring: RingContext) -> HeckeElement:
-    key = (id(ring), n, kind)
-    cache = _SYM_CACHE
+    key = (n, kind)
+    cache = ring.symmetrizers
     if key in cache:
         return cache[key]
     if n == 1:
@@ -304,9 +290,6 @@ def _symmetrizer_cached(n: int, kind: str, ring: RingContext) -> HeckeElement:
         val = gp - coef * (gp * f2 * gp)
     cache[key] = val
     return val
-
-
-_SYM_CACHE: dict = {}
 
 
 def symmetrizer_explicit(n: int, kind: str, ring: RingContext) -> HeckeElement:

@@ -89,21 +89,14 @@ class RingContext:
     to that embedding.
     """
 
-    def __init__(self, M: int, N: int, K: int, a_exp: int, s_exp: int,
-                 theory: str = "su", alpha: int | None = None,
-                 beta: int | None = None):
+    def __init__(self, M: int, N: int, K: int, a_exp: int, s_exp: int):
         self.M = M
         self.N = N
         self.K = K
         self.a_exp = a_exp % M
         self.s_exp = s_exp % M
         self.v_exp = (-N * s_exp) % M
-        self.theory = theory
-        self.alpha = alpha
-        self.beta = beta
         self.d = math.gcd(N, K)
-        self.n_prime = N // self.d
-        self.k_prime = K // self.d
         self.cyclotomic_poly = cyclotomic_polynomial(M)
         deg = self.degree = len(self.cyclotomic_poly) - 1
         # Phi_M is monic: x^deg = sum of p * x^i over these (i, p) terms
@@ -123,6 +116,9 @@ class RingContext:
         self._zeta_terms = tuple(terms)
         self._conj_terms = tuple(terms[-k % M] for k in range(deg))
         self._zeta_pows: dict[int, CycScalar] = {}
+        # (n, kind) -> HeckeElement, filled by hecke.symmetrizer; kept on the
+        # ring so the cache dies with it
+        self.symmetrizers: dict = {}
         self._zero = CycScalar(self, (0,) * deg)
         self._one = self.from_rational(1)
 
@@ -202,8 +198,7 @@ class RingContext:
         raise ScalarError("element is not a root of unity of small order")
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"RingContext(M={self.M}, N={self.N}, K={self.K}, "
-                f"theory={self.theory!r})")
+        return f"RingContext(M={self.M}, N={self.N}, K={self.K})"
 
 
 def _canonical(ring: RingContext, nums: tuple, den: int) -> "CycScalar":
@@ -513,7 +508,7 @@ def su_parameters(N: int, K: int) -> RingContext:
     if N < 2 or K < 1:
         raise ScalarError("rank must be >= 2 and level >= 1")
     M = 2 * N * (N + K)
-    return RingContext(M, N, K, a_exp=1, s_exp=(-N) % M, theory="su")
+    return RingContext(M, N, K, a_exp=1, s_exp=(-N) % M)
 
 
 def reduced_framing_split(N: int, K: int) -> tuple[int, int, bool]:
@@ -576,8 +571,7 @@ def solve_framing_reduced(N: int, K: int, max_multiplier: int = 64) -> tuple[int
                 if (alpha * (N * e + s_exp) - t1) % M == 0
                 and (beta * (K * e - s_exp) - t2) % M == 0]
         if sols:
-            ctx = RingContext(M, N, K, a_exp=sols[0], s_exp=s_exp,
-                              theory="reduced", alpha=alpha, beta=beta)
+            ctx = RingContext(M, N, K, a_exp=sols[0], s_exp=s_exp)
             _verify_reduced_context(ctx, alpha, beta, eps, variant)
             return alpha, beta, ctx
     raise ScalarError(

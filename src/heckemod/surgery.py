@@ -32,6 +32,7 @@ __all__ = [
     "empty_graph",
     "single_vertex",
     "chain",
+    "random_forest",
     "disjoint_union",
     "linking_data",
     "resolve_color",
@@ -58,48 +59,57 @@ class PlumbingVertex:
 
 @dataclass
 class PlumbingGraph:
+    """A validated plumbing forest.
+
+    ``adjacency`` maps each vertex id to its neighbours in edge input order.
+    ``preorder`` lists (vertex id, parent id) pairs so that every parent
+    precedes its children; each tree is rooted (parent None) at its first
+    vertex in input order.
+    """
+
     vertices: list
     edges: list
+    adjacency: dict = field(init=False, repr=False, compare=False)
+    preorder: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [v.id for v in self.vertices]
         if len(set(ids)) != len(ids):
             raise ScalarError("duplicate vertex id")
-        known = set(ids)
-        parent = {i: i for i in known}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        adjacency = {i: [] for i in ids}
         for (u, v) in self.edges:
-            if u == v:
-                raise ScalarError("not a plumbing forest: self-loop at " + u)
-            if u not in known or v not in known:
-                raise ScalarError(f"edge endpoint {u if u not in known else v!r} "
+            if u not in adjacency or v not in adjacency:
+                raise ScalarError(f"edge endpoint {u if u not in adjacency else v!r} "
                                   "is not a vertex")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ScalarError("not a plumbing forest")
-            parent[ru] = rv
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        preorder = []
+        parent = {}
+        trees = 0
+        for root in ids:
+            if root in parent:
+                continue
+            trees += 1
+            parent[root] = None
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                preorder.append((x, parent[x]))
+                for y in adjacency[x]:
+                    if y not in parent:
+                        parent[y] = x
+                        stack.append(y)
+        # a multigraph is a forest exactly when E = V - (number of trees);
+        # this rejects cycles, self-loops and repeated edges alike
+        if len(self.edges) != len(ids) - trees:
+            raise ScalarError("not a plumbing forest: the edges contain a "
+                              "cycle, a self-loop or a repeated edge")
+        self.adjacency = adjacency
+        self.preorder = preorder
 
     @property
     def surgery_vertices(self) -> list:
         return [v for v in self.vertices if not v.is_link]
-
-    def degree(self, vid: str) -> int:
-        return sum((u == vid) + (w == vid) for (u, w) in self.edges)
-
-    def neighbors(self, vid: str) -> list:
-        out = []
-        for (u, w) in self.edges:
-            if u == vid:
-                out.append(w)
-            elif w == vid:
-                out.append(u)
-        return out
 
 
 def parse_plumbing(document: dict) -> PlumbingGraph:
@@ -162,6 +172,17 @@ def chain(framings) -> PlumbingGraph:
     return PlumbingGraph(verts, edges)
 
 
+def random_forest(rng, max_vertices=4) -> PlumbingGraph:
+    """Random plumbing forest of 1..max_vertices surgery vertices with
+    framings in [-3, 3], each vertex after the first joined to an earlier
+    one with probability 0.6."""
+    n = rng.randint(1, max_vertices)
+    verts = [PlumbingVertex(f"v{i}", rng.randint(-3, 3)) for i in range(n)]
+    edges = [(f"v{rng.randrange(i)}", f"v{i}")
+             for i in range(1, n) if rng.random() < 0.6]
+    return PlumbingGraph(verts, edges)
+
+
 def disjoint_union(g1: PlumbingGraph, g2: PlumbingGraph,
                    suffix: str = "'") -> PlumbingGraph:
     """Disjoint union; second graph's ids are suffixed to stay unique."""
@@ -221,10 +242,12 @@ def signature(B) -> int:
         for i in active:
             if A[i][piv] != 0:
                 f = A[i][piv] / p
+                for k, a in enumerate(A[piv]):
+                    if a:
+                        A[i][k] -= f * a
                 for k in range(n):
-                    A[i][k] -= f * A[piv][k]
-                for k in range(n):
-                    A[k][i] -= f * A[k][piv]
+                    if A[k][piv]:
+                        A[k][i] -= f * A[k][piv]
     return sig
 
 
@@ -264,7 +287,7 @@ def _candidate_lists(g: PlumbingGraph, data: ModularData, degree_filter):
                 f"degree filter residue {residue} outside modulus {d}")
     cands = {}
     for v in g.vertices:
-        deg = g.degree(v.id)
+        deg = len(g.adjacency[v.id])
         if v.is_link:
             i = resolve_color(data, v.color)
             weight = data.dims[i] ** (1 - deg) * data.twists[i] ** v.framing
@@ -283,47 +306,31 @@ def _candidate_lists(g: PlumbingGraph, data: ModularData, degree_filter):
 
 def colored_bracket(g: PlumbingGraph, data: ModularData,
                     degree_filter=None) -> CycScalar:
-    """<L(Omega, ..., Omega)> by leaf elimination over the forest."""
+    """<L(Omega, ..., Omega)> by leaf elimination over the forest: the
+    preorder is read backwards, so each vertex folds into its parent after
+    all of its children have folded into it."""
     ctx = data.ctx
-    cands = _candidate_lists(g, data, degree_filter)
-    n = len(data.labels)
     S = data.s_matrix
-
-    def subtree_weights(vid: str, parent: str):
-        """Total weight of the subtree at vid for each choice of its color."""
-        out = dict(cands[vid])
-        for child in g.neighbors(vid):
-            if child == parent:
-                continue
-            child_w = subtree_weights(child, vid)
-            # message to the parent color j: sum_i w_i * S[i][j]
-            msg = [None] * n
-            for j in out:
-                acc = ctx.zero()
-                for i, w in child_w.items():
-                    acc = acc + w * S[i][j]
-                msg[j] = acc
-            out = {j: w * msg[j] for j, w in out.items()}
-        return out
-
-    seen = set()
+    # weights[v][c]: total weight of the eliminated part of v's subtree
+    # when v has color c
+    weights = {vid: dict(options) for vid, options in
+               _candidate_lists(g, data, degree_filter).items()}
     total = ctx.one()
-    for v in g.vertices:
-        if v.id in seen:
+    for vid, parent in reversed(g.preorder):
+        own = weights.pop(vid)
+        if parent is None:
+            tree_sum = ctx.zero()
+            for w in own.values():
+                tree_sum = tree_sum + w
+            total = total * tree_sum
             continue
-        stack = [v.id]
-        comp = set()
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(g.neighbors(x))
-        seen |= comp
-        tree_sum = ctx.zero()
-        for w in subtree_weights(v.id, None).values():
-            tree_sum = tree_sum + w
-        total = total * tree_sum
+        up = weights[parent]
+        # message to the parent color j: sum_i w_i * S[i][j]
+        for j in up:
+            acc = ctx.zero()
+            for i, w in own.items():
+                acc = acc + w * S[i][j]
+            up[j] = up[j] * acc
     return total
 
 

@@ -57,6 +57,7 @@ from heckemod.surgery import (
     colored_bracket,
     disjoint_union,
     linking_data,
+    random_forest,
     single_vertex,
     tau,
 )
@@ -247,14 +248,6 @@ def test_criterion_06_spin_vanishing():
             failures.append(
                 f"delta product at {(N, K)}: not {d} * omega_0 (gcd = {d})")
     check(6, "spin-case vanishing", 5, failures, time.perf_counter() - t0)
-
-
-def random_forest(rng, max_vertices=4):
-    n = rng.randint(1, max_vertices)
-    verts = [PlumbingVertex(f"v{i}", rng.randint(-3, 3)) for i in range(n)]
-    edges = [(f"v{rng.randrange(i)}", f"v{i}")
-             for i in range(1, n) if rng.random() < 0.6]
-    return PlumbingGraph(verts, edges)
 
 
 def sphere_name(g):

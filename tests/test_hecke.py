@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -152,6 +154,16 @@ def test_symmetrizer_eigenvalues(ctx, n):
 def test_symmetrizer_explicit_sum(ctx, n):
     assert symmetrizer(n, "f", ctx) == symmetrizer_explicit(n, "f", ctx)
     assert symmetrizer(n, "g", ctx) == symmetrizer_explicit(n, "g", ctx)
+
+
+def test_symmetrizer_cache_dies_with_its_ring():
+    ring = su_parameters(2, 3)
+    f3 = symmetrizer(3, "f", ring)
+    assert symmetrizer(3, "f", ring) is f3  # cached
+    ref = weakref.ref(ring)
+    del ring, f3
+    gc.collect()
+    assert ref() is None
 
 
 def test_two_symmetrizer_identity(ctx):

@@ -68,6 +68,13 @@ def test_parse_rejects_cycle():
         parse_plumbing(doc)
 
 
+def test_parse_rejects_repeated_edge():
+    doc = {"vertices": [{"id": x, "framing": 0} for x in "ab"],
+           "edges": [["a", "b"], ["a", "b"]]}
+    with pytest.raises(ScalarError, match="forest"):
+        parse_plumbing(doc)
+
+
 def test_parse_rejects_self_loop():
     doc = {"vertices": [{"id": "a", "framing": 0}], "edges": [["a", "a"]]}
     with pytest.raises(ScalarError, match="forest"):
@@ -275,6 +282,21 @@ def test_blow_up_invariance(su22, red33):
                 res = tau(blown, data)
                 assert res.report["bracket"] == base.report["bracket"] * delta
                 assert res.value == base.value
+
+
+def test_long_chain_blow_down(su22):
+    # Neumann's plumbing calculus: a +-1 vertex inside a chain blows down,
+    # shifting both neighbours' framings by -+1; the bracket gains Delta_+-
+    rng = random.Random(41)
+    framings = [rng.randint(-3, 3) for _ in range(1100)]
+    for eps, delta in [(1, su22.delta_plus), (-1, su22.delta_minus)]:
+        k = rng.randrange(1, len(framings))
+        longer = framings[:k] + [eps] + framings[k:]
+        blown_down = (framings[:k - 1]
+                      + [framings[k - 1] - eps, framings[k] - eps]
+                      + framings[k + 1:])
+        assert colored_bracket(chain(longer), su22) == \
+            colored_bracket(chain(blown_down), su22) * delta
 
 
 @pytest.mark.parametrize("theory,NK", [("su", (2, 2)), ("reduced", (3, 3))])
