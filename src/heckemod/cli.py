@@ -216,7 +216,9 @@ def hecke_gates(N: int, K: int) -> dict:
         (x * y).markov_trace() == (y * x).markov_trace()
         for x, y in [(rand_elt(), rand_elt()) for _ in range(5)])
     ok_sym = True
-    for n in (2, 3):
+    # the size-n symmetrizers and path idempotents exist only for n < N + K
+    sizes = range(1, min(4, N + K))
+    for n in sizes[1:]:
         fn = symmetrizer(n, "f", ctx)
         gn = symmetrizer(n, "g", ctx)
         ok_sym &= fn * fn == fn and gn * gn == gn
@@ -228,7 +230,7 @@ def hecke_gates(N: int, K: int) -> dict:
     gates["symmetrizer_eigenvalues"] = ok_sym
     ok_tr = True
     ok_complete = True
-    for n in (1, 2, 3):
+    for n in sizes:
         total = HeckeElement(n, ctx, {})
         for t in standard_tableaux(n):
             pt = path_idempotent(t, ctx)

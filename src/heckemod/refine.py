@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import mpmath
 
 from .moddata import ModularData, build_modular_data
-from .scalars import CycScalar, ExtScalar, ScalarError
-from .surgery import PlumbingGraph, colored_bracket, linking_data, tau
+from .scalars import MIN_PRECISION, CycScalar, ExtScalar, ScalarError
+from .surgery import (PlumbingGraph, _normalized, colored_bracket,
+                      linking_data, tau)
 
 __all__ = [
     "SpinStructureSet",
@@ -112,22 +113,23 @@ def smith_normal_form(A):
     return D, U, V
 
 
+def _h1_from_smith(D, d: int) -> int:
+    return math.prod(math.gcd(D[i][i], d) for i in range(len(D)))
+
+
 def h1_cardinality(B, d: int) -> int:
     """|Hom(coker B, Z/d)| = prod gcd(D_ii, d) over all m diagonal slots."""
-    m = len(B)
-    D, _, _ = smith_normal_form(B)
-    total = 1
-    for i in range(m):
-        total *= math.gcd(D[i][i], d)
-    return total
+    return _h1_from_smith(smith_normal_form(B)[0], d)
 
 
 def solve_linear_mod(B, target, d: int):
     """All solutions c of B c = target (mod d), via the Smith form."""
-    m = len(B)
-    if m == 0:
-        return [()]
-    D, U, V = smith_normal_form(B)
+    return _solve_from_smith(*smith_normal_form(B), target, d)
+
+
+def _solve_from_smith(D, U, V, target, d: int):
+    """All solutions c of B c = target (mod d), given U B V = D."""
+    m = len(D)
     rhs = [sum(U[i][k] * target[k] for k in range(m)) % d for i in range(m)]
     per_coordinate = []
     for i in range(m):
@@ -178,10 +180,11 @@ def characteristic_solutions(B, d: int, kind: str) -> SpinStructureSet:
         raise ScalarError("modulus must be >= 1")
     if kind == "spin" and d % 2:
         raise ScalarError("spin structures need an even modulus")
-    sols = solve_linear_mod(B, _characteristic_target(B, d, kind), d)
+    D, U, V = smith_normal_form(B)
+    sols = _solve_from_smith(D, U, V, _characteristic_target(B, d, kind), d)
     if not sols:
         raise ScalarError("internal error: empty characteristic solution set")
-    if len(sols) != h1_cardinality(B, d):
+    if len(sols) != _h1_from_smith(D, d):
         raise ScalarError("internal error: solution count does not match "
                           "the first cohomology cardinality")
     return SpinStructureSet(d, [list(r) for r in B], sols, kind)
@@ -225,9 +228,7 @@ def refined_tau(g: PlumbingGraph, c, data: ModularData,
         raise ScalarError("vector does not satisfy the mod d characteristic "
                           "equation of the linking matrix")
     filt = {v.id: c[i] for i, v in enumerate(g.surgery_vertices)}
-    bracket = colored_bracket(g, data, filt)
-    base = bracket * data.delta_plus ** (-sigma)
-    return ExtScalar(base, m - sigma, data.theory, data.omega)
+    return _normalized(colored_bracket(g, data, filt), sigma, m, data)
 
 
 def graded_gauss_sums(data: ModularData):
@@ -289,13 +290,12 @@ def u1_gauss_unit(su_data: ModularData, red_data: ModularData) -> CycScalar:
     return total
 
 
-def u1_invariant(B, su_data: ModularData, red_data: ModularData,
-                 precision: int = 15):
+def u1_invariant(g: PlumbingGraph, su_data: ModularData,
+                 red_data: ModularData):
     """(Delta/delta)^(-sigma) (eta/eta~)^m sum_{j in (Z/N')^m} zeta^(jBj),
-    evaluated in the complex embedding."""
-    from .surgery import signature
+    with B the linking matrix of g, evaluated in the complex embedding."""
+    B, sigma = linking_data(g)
     m = len(B)
-    sigma = signature(B)
     ctx = su_data.ctx
     n_prime = su_data.N // su_data.grading_modulus
     zeta = u1_root_of_unity(su_data, red_data.beta)
@@ -303,15 +303,15 @@ def u1_invariant(B, su_data: ModularData, red_data: ModularData,
     for js in itertools.product(range(n_prime), repeat=m):
         expo = sum(B[i][k] * js[i] * js[k] for i in range(m) for k in range(m))
         gauss = gauss + zeta ** expo
-    with mpmath.workdps(precision + 15):
+    with mpmath.workdps(MIN_PRECISION + 15):
         big_delta = ExtScalar(su_data.delta_plus, 1, "su",
-                              su_data.omega).embed(precision)
+                              su_data.omega).embed()
         small_delta = ExtScalar(red_data.delta_plus, 1, "reduced",
-                                red_data.omega).embed(precision)
-        eta = 1 / mpmath.sqrt(su_data.omega.embed(precision).real)
-        eta_red = 1 / mpmath.sqrt(red_data.omega.embed(precision).real)
+                                red_data.omega).embed()
+        eta = 1 / mpmath.sqrt(su_data.omega.embed().real)
+        eta_red = 1 / mpmath.sqrt(red_data.omega.embed().real)
         value = (big_delta / small_delta) ** (-sigma) \
-            * (eta / eta_red) ** m * gauss.embed(precision)
+            * (eta / eta_red) ** m * gauss.embed()
     return value
 
 
@@ -321,17 +321,15 @@ def u1_invariant(B, su_data: ModularData, red_data: ModularData,
 
 def reduction_check(g: PlumbingGraph, N: int, K: int,
                     su_data: ModularData | None = None,
-                    red_data: ModularData | None = None,
-                    precision: int = 15) -> dict:
+                    red_data: ModularData | None = None) -> dict:
     """Compare tau_su(M) with tau_u1(M, zeta) * tau_reduced(M) numerically."""
     if su_data is None:
         su_data = build_modular_data(N, K, "su")
     if red_data is None:
         red_data = build_modular_data(N, K, "reduced")
-    B, _ = linking_data(g)
-    lhs = tau(g, su_data).value.embed(precision)
-    u1 = u1_invariant(B, su_data, red_data, precision)
-    reduced = tau(g, red_data).value.embed(precision)
+    lhs = tau(g, su_data).value.embed()
+    u1 = u1_invariant(g, su_data, red_data)
+    reduced = tau(g, red_data).value.embed()
     rhs = u1 * reduced
     diff = abs(lhs - rhs)
     return {

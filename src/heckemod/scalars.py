@@ -24,6 +24,8 @@ import mpmath
 
 # fewest significant digits of a complex embedding
 MIN_PRECISION = 15
+# the reduced theory's root order is searched up to this multiple of 2(N+K)
+_MAX_ROOT_MULTIPLIER = 64
 
 
 class ScalarError(ValueError):
@@ -400,7 +402,7 @@ class CycScalar:
 
     # -- embedding ------------------------------------------------------------
 
-    def embed(self, precision: int = 15):
+    def embed(self, precision: int = MIN_PRECISION):
         """Numerical value at zeta = exp(2*pi*i/M), as an mpmath complex number."""
         if precision < MIN_PRECISION:
             raise ScalarError(
@@ -486,7 +488,7 @@ class ExtScalar:
         parity = self.eta_pow if not self.base.is_zero() else 0
         return hash((self.base, parity, self.theory))
 
-    def embed(self, precision: int = 15):
+    def embed(self, precision: int = MIN_PRECISION):
         val = self.base.embed(precision)
         if self.eta_pow:
             with mpmath.workdps(precision + 15):
@@ -537,7 +539,7 @@ def reduced_framing_split(N: int, K: int) -> tuple[int, int, bool]:
     return alpha, d // alpha, variant
 
 
-def solve_framing_reduced(N: int, K: int, max_multiplier: int = 64) -> tuple[int, int, RingContext]:
+def solve_framing_reduced(N: int, K: int) -> tuple[int, int, RingContext]:
     """Reduced-theory context: a root order, s of the prescribed order, and a
     framing parameter a with (a^N s)^alpha = +-1 and (a^K s^-1)^beta = epsilon or 1.
 
@@ -554,7 +556,7 @@ def solve_framing_reduced(N: int, K: int, max_multiplier: int = 64) -> tuple[int
     alpha, beta, variant = reduced_framing_split(N, K)
     eps = (-1) ** (N + K + 1)
     base = 2 * (N + K)
-    for mult in range(1, max_multiplier + 1):
+    for mult in range(1, _MAX_ROOT_MULTIPLIER + 1):
         M = base * mult
         if d % 2 == 0:
             s_exp = (-M // base) % M
@@ -575,7 +577,7 @@ def solve_framing_reduced(N: int, K: int, max_multiplier: int = 64) -> tuple[int
             _verify_reduced_context(ctx, alpha, beta, eps, variant)
             return alpha, beta, ctx
     raise ScalarError(
-        f"no framing parameter found for (N,K)=({N},{K}) up to multiplier {max_multiplier}; "
+        f"no framing parameter found for (N,K)=({N},{K}) up to multiplier {_MAX_ROOT_MULTIPLIER}; "
         "this indicates a bug in the congruence search")
 
 

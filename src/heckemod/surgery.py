@@ -9,8 +9,9 @@ colored bracket
     tau = (eta * Delta_+)^(-sigma) * eta^m * <L(Omega, ..., Omega)>
 
 with sigma the signature of the linking matrix and m the number of surgery
-components.  Brackets are evaluated exactly by leaf elimination over the
-forest; a direct sum over all colorings is retained as a cross-check oracle.
+components.  Brackets and signatures are evaluated exactly by leaf
+elimination over the forest; a direct sum over all colorings is retained as
+a cross-check oracle for the bracket.
 """
 
 from __future__ import annotations
@@ -183,11 +184,10 @@ def random_forest(rng, max_vertices=4) -> PlumbingGraph:
     return PlumbingGraph(verts, edges)
 
 
-def disjoint_union(g1: PlumbingGraph, g2: PlumbingGraph,
-                   suffix: str = "'") -> PlumbingGraph:
-    """Disjoint union; second graph's ids are suffixed to stay unique."""
+def disjoint_union(g1: PlumbingGraph, g2: PlumbingGraph) -> PlumbingGraph:
+    """Disjoint union; second graph's ids that clash gain a prime."""
     taken = {v.id for v in g1.vertices}
-    rename = {v.id: (v.id + suffix if v.id in taken else v.id)
+    rename = {v.id: (v.id + "'" if v.id in taken else v.id)
               for v in g2.vertices}
     verts = list(g1.vertices) + [
         PlumbingVertex(rename[v.id], v.framing, v.color) for v in g2.vertices]
@@ -201,7 +201,14 @@ def disjoint_union(g1: PlumbingGraph, g2: PlumbingGraph,
 
 def linking_data(g: PlumbingGraph):
     """Linking matrix over the surgery vertices (input order) and its
-    signature, computed by rational congruence diagonalization."""
+    signature, computed by leaf elimination over the forest.
+
+    The preorder is read backwards, so each surgery vertex is reached with
+    the value its eliminated children left on its diagonal.  A nonzero value
+    adds its sign and subtracts its reciprocal from the parent; a zero value
+    spans a hyperbolic pair with the parent, which adds nothing and cuts the
+    parent from the rest of the forest.  Link vertices start cut.
+    """
     surg = g.surgery_vertices
     idx = {v.id: i for i, v in enumerate(surg)}
     n = len(surg)
@@ -212,43 +219,20 @@ def linking_data(g: PlumbingGraph):
         if u in idx and w in idx:
             B[idx[u]][idx[w]] += 1
             B[idx[w]][idx[u]] += 1
-    return B, signature(B)
-
-
-def signature(B) -> int:
-    """Signature of a symmetric integer matrix via congruence over Q."""
-    n = len(B)
-    A = [[Fraction(B[i][j]) for j in range(n)] for i in range(n)]
-    sig = 0
-    active = list(range(n))
-    while active:
-        piv = next((i for i in active if A[i][i] != 0), None)
-        if piv is None:
-            pair = next(((i, j) for i in active for j in active
-                         if i != j and A[i][j] != 0), None)
-            if pair is None:
-                break  # remaining block is zero: contributes nothing
-            i, j = pair
-            # congruence by adding the j-th basis vector to the i-th makes
-            # the i-th diagonal entry 2*A[i][j] != 0
-            for k in range(n):
-                A[i][k] += A[j][k]
-            for k in range(n):
-                A[k][i] += A[k][j]
-            piv = i
-        p = A[piv][piv]
-        sig += 1 if p > 0 else -1
-        active.remove(piv)
-        for i in active:
-            if A[i][piv] != 0:
-                f = A[i][piv] / p
-                for k, a in enumerate(A[piv]):
-                    if a:
-                        A[i][k] -= f * a
-                for k in range(n):
-                    if A[k][piv]:
-                        A[k][i] -= f * A[k][piv]
-    return sig
+    # value of each surgery vertex that is neither eliminated nor cut
+    value = {v.id: Fraction(v.framing) for v in surg}
+    sigma = 0
+    for vid, parent in reversed(g.preorder):
+        x = value.pop(vid, None)
+        if x is None:
+            continue
+        if x:
+            sigma += 1 if x > 0 else -1
+            if parent in value:
+                value[parent] -= 1 / x
+        elif parent in value:
+            del value[parent]
+    return B, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +341,13 @@ def colored_bracket_direct(g: PlumbingGraph, data: ModularData,
 # the invariant
 # ---------------------------------------------------------------------------
 
+def _normalized(bracket: CycScalar, sigma: int, m: int,
+                data: ModularData) -> ExtScalar:
+    """(eta Delta_+)^(-sigma) eta^m times a bracket over m surgery vertices."""
+    return ExtScalar(bracket * data.delta_plus ** (-sigma), m - sigma,
+                     data.theory, data.omega)
+
+
 @dataclass
 class SurgeryInvariantResult:
     value: ExtScalar
@@ -378,8 +369,7 @@ def tau(g: PlumbingGraph, data: ModularData) -> SurgeryInvariantResult:
     B, sigma = linking_data(g)
     m = len(B)
     bracket = colored_bracket(g, data)
-    base = bracket * data.delta_plus ** (-sigma)
-    value = ExtScalar(base, m - sigma, data.theory, data.omega)
+    value = _normalized(bracket, sigma, m, data)
     report = {
         "linking_matrix": B,
         "signature": sigma,

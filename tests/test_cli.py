@@ -118,6 +118,14 @@ def test_hecke_check_passes(capsys):
     assert json.loads(out)["all_pass"] is True
 
 
+@pytest.mark.parametrize("command", ["verify", "hecke-check"])
+def test_smallest_rank_level_passes(capsys, command):
+    # at N + K = 3 there is no size-3 symmetrizer or path idempotent
+    code, out = run(capsys, command, "2", "1")
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

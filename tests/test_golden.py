@@ -1,10 +1,12 @@
 """Byte-for-byte golden outputs of the CLI.
 
 ``golden_outputs.json`` holds, for each command below, the exit code and the
-sha256 of the bytes written by ``--json``.  The values were recorded before
-the scalar core moved from Fraction vectors to integer vectors, so any change
-to exact values, to the canonical ``num``/``den`` form or to the printed
-approximations shows here.
+sha256 of the bytes written by ``--json``.  The ``modular-data`` and
+``invariant`` values were recorded before the scalar core moved from Fraction
+vectors to integer vectors, the ``verify`` and ``hecke-check`` values before
+the signature moved to leaf elimination over the forest, so any change to
+exact values, to the canonical ``num``/``den`` form, to a gate result or to
+the printed approximations shows here.
 """
 
 import hashlib
@@ -28,6 +30,10 @@ COMMANDS = (
     + [["invariant", "--manifold", f"@{name}", "3", "3", "--theory",
         "reduced", "--refined", "coho", "--all-structures"]
        for name in MANIFEST_NAMES]
+    + [["verify", str(N), str(K), "--depth", "quick"]
+       for N, K in ((2, 2), (2, 3), (3, 3))]
+    + [["verify", "2", "2", "--depth", "full"]]
+    + [["hecke-check", str(N), str(K)] for N, K in ((2, 3), (3, 3))]
 )
 
 

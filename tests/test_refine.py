@@ -268,12 +268,13 @@ def test_u1_gauss_unit_modulus_42():
 
 
 def test_u1_invariant_basics(su22, red22):
-    assert abs(u1_invariant([], su22, red22) - 1) < 1e-12
+    assert abs(u1_invariant(empty_graph(), su22, red22) - 1) < 1e-12
     n_prime = su22.N // su22.grading_modulus
     eta = 1 / mpmath.sqrt(su22.omega.embed().real)
     eta_red = 1 / mpmath.sqrt(red22.omega.embed().real)
     expected = (eta / eta_red) * n_prime
-    assert abs(u1_invariant([[0]], su22, red22) - expected) < 1e-12
+    assert abs(u1_invariant(single_vertex(0), su22, red22) - expected) \
+        < 1e-12
 
 
 TREE5 = {

@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckemod.moddata import build_modular_data
 from heckemod.scalars import ScalarError
@@ -16,7 +19,6 @@ from heckemod.surgery import (
     linking_data,
     parse_plumbing,
     plumbing_to_json,
-    signature,
     single_vertex,
     tau,
 )
@@ -122,19 +124,48 @@ def test_link_vertices_excluded_from_linking():
     assert linking_data(g) == ([[-2]], -1)
 
 
+def eigenvalue_signature(B) -> int:
+    """Float oracle: the eigenvalue signs of the symmetric matrix B.  A
+    nonzero eigenvalue of an integer forest matrix this small exceeds 1e-9
+    in size, far above the error at 40 digits."""
+    if not B:
+        return 0
+    with mpmath.workdps(40):
+        ev = mpmath.mp.eigsy(mpmath.matrix(B), eigvals_only=True)
+        return sum((x > 1e-20) - (x < -1e-20) for x in ev)
+
+
+def signature_test_forest(rng):
+    """1..9 vertices in shuffled order, about 15 % of them link vertices and
+    a quarter of the framings zero, each vertex after the first joined to an
+    earlier one with probability 0.7 (so often several trees), edges
+    shuffled and oriented at random."""
+    n = rng.randint(1, 9)
+    verts = [PlumbingVertex(f"v{i}",
+                            0 if rng.random() < 0.25 else rng.randint(-3, 3),
+                            {"lambda": [1]} if rng.random() < 0.15 else None)
+             for i in range(n)]
+    edges = [(f"v{rng.randrange(i)}", f"v{i}")
+             for i in range(1, n) if rng.random() < 0.7]
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    return PlumbingGraph(verts, edges)
+
+
 def test_signature_random_against_float():
     rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        B = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                B[i][j] = B[j][i] = rng.randint(-3, 3)
-        # float oracle: eigenvalue signs of the symmetric matrix
-        import mpmath
-        ev = mpmath.mp.eigsy(mpmath.matrix(B), eigvals_only=True)
-        expected = sum((x > 1e-9) - (x < -1e-9) for x in ev)
-        assert signature(B) == expected
+    for _ in range(2000):
+        B, sigma = linking_data(signature_test_forest(rng))
+        assert sigma == eigenvalue_signature(B)
+
+
+def test_signature_long_chain():
+    # the chain of n (-2)s is the negative definite A_n form; a 0-framed
+    # end splits off a hyperbolic pair with its neighbour, leaving A_(n-1)
+    n = 1200
+    assert linking_data(chain([-2] * n))[1] == -n
+    assert linking_data(chain([-2] * n + [0]))[1] == -(n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +328,106 @@ def test_long_chain_blow_down(su22):
                       + framings[k + 1:])
         assert colored_bracket(chain(longer), su22) == \
             colored_bracket(chain(blown_down), su22) * delta
+
+
+class Plumbing:
+    """A mutable plumbing forest for applying Neumann's blow-up and
+    blow-down moves (W. Neumann, Trans. AMS 268, 1981)."""
+
+    def __init__(self, g: PlumbingGraph):
+        self.framing = {v.id: v.framing for v in g.vertices}
+        self.color = {v.id: v.color for v in g.vertices}
+        self.edges = [tuple(e) for e in g.edges]
+        self.fresh = 0
+
+    def graph(self) -> PlumbingGraph:
+        return PlumbingGraph(
+            [PlumbingVertex(vid, fr, self.color[vid])
+             for vid, fr in self.framing.items()], list(self.edges))
+
+    def _new_vertex(self, eps):
+        self.fresh += 1
+        vid = f"x{self.fresh}"
+        self.framing[vid] = eps
+        self.color[vid] = None
+        return vid
+
+    def blow_up_vertex(self, pick, eps):
+        """A new eps-framed meridian of a vertex: its framing gains eps.
+        On the empty forest the new vertex is isolated."""
+        ids = list(self.framing)
+        x = self._new_vertex(eps)
+        if ids:
+            u = ids[pick % len(ids)]
+            self.framing[u] += eps
+            self.edges.append((u, x))
+
+    def blow_up_edge(self, pick, eps):
+        """A new eps-framed vertex on an edge: both ends gain eps."""
+        if not self.edges:
+            return self.blow_up_vertex(pick, eps)
+        u, w = self.edges.pop(pick % len(self.edges))
+        x = self._new_vertex(eps)
+        self.framing[u] += eps
+        self.framing[w] += eps
+        self.edges += [(u, x), (x, w)]
+
+    def blow_down(self, pick):
+        """Remove a +-1-framed surgery vertex of degree at most 2: its
+        neighbours lose its framing and, if there are two, become joined."""
+        def neighbours(vid):
+            return [w if u == vid else u for (u, w) in self.edges
+                    if vid in (u, w)]
+        candidates = [vid for vid, fr in self.framing.items()
+                      if fr in (1, -1) and self.color[vid] is None
+                      and len(neighbours(vid)) <= 2]
+        if not candidates:
+            return
+        x = candidates[pick % len(candidates)]
+        eps = self.framing.pop(x)
+        del self.color[x]
+        near = neighbours(x)
+        self.edges = [e for e in self.edges if x not in e]
+        for u in near:
+            self.framing[u] -= eps
+        if len(near) == 2:
+            self.edges.append(tuple(near))
+
+
+_moves = st.lists(st.tuples(st.sampled_from(["vertex", "edge", "down"]),
+                            st.integers(0, 50), st.sampled_from([1, -1])),
+                  min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("theory,NK,colors", [
+    ("su", (2, 2), [{"lambda": [1]}, {"lambda": [2]}]),
+    ("reduced", (3, 3), None)])
+def test_neumann_moves_preserve_tau(theory, NK, colors):
+    # random +-1 blow-ups at vertices and on edges and +-1 blow-downs leave
+    # the invariant exactly unchanged; along the way the forest signature
+    # matches the eigenvalue count
+    data = build_modular_data(*NK, theory)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), _moves)
+    def check(seed, moves):
+        g = random_forest(random.Random(seed), max_vertices=6,
+                          link_colors=colors)
+        expected = tau(g, data).value
+        p = Plumbing(g)
+        for kind, pick, eps in moves:
+            if kind == "vertex":
+                p.blow_up_vertex(pick, eps)
+            elif kind == "edge":
+                p.blow_up_edge(pick, eps)
+            else:
+                p.blow_down(pick)
+            moved = p.graph()
+            B, sigma = linking_data(moved)
+            assert sigma == eigenvalue_signature(B)
+            assert tau(moved, data).value == expected
+
+    check()
 
 
 @pytest.mark.parametrize("theory,NK", [("su", (2, 2)), ("reduced", (3, 3))])
