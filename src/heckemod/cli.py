@@ -185,8 +185,12 @@ def cmd_invariant(args) -> int:
             if not args.structure:
                 raise UsageError(
                     "--refined needs --all-structures or --structure c1,c2,...")
-            c = [int(x) for x in args.structure.split(",")] \
-                if args.structure.strip() else []
+            try:
+                c = [int(x) for x in args.structure.split(",")] \
+                    if args.structure.strip() else []
+            except ValueError:
+                raise UsageError(
+                    "--structure must be comma-separated integers")
             val = refined_tau(g, c, data, kind)
             doc["refined"] = {"kind": kind, "modulus": d,
                               "structure": [x % d for x in c],
@@ -255,6 +259,8 @@ def cmd_homfly(args) -> int:
         word = [int(x) for x in args.braid.split(",")] if args.braid else []
     except ValueError:
         raise UsageError("braid word must be comma-separated signed integers")
+    if args.strands < 1:
+        raise UsageError("--strands must be at least 1")
     if any(abs(x) < 1 or abs(x) >= args.strands for x in word):
         raise UsageError("braid letters must satisfy 1 <= |i| < strands")
     ctx = su_parameters(args.N, args.K)

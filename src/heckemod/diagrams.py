@@ -164,15 +164,16 @@ def enumerate_sector(N: int, K: int, sector: str, alpha: int | None = None):
 def quantum_dimension(ctx: RingContext, label) -> CycScalar:
     """Hook-content product over cells: prod [N + cn(c)] / [hl(c)]."""
     lam = label.diagram if isinstance(label, ReducedLabel) else label
-    total = ctx.one()
+    num = den = ctx.one()
     for (i, j) in lam.cells():
         hl = lam.hook_length(i, j)
-        den = ctx.quantum_integer(hl)
-        if den.is_zero():
+        hook = ctx.quantum_integer(hl)
+        if hook.is_zero():
             raise ScalarError(
                 f"hook length {hl} at cell ({i},{j}) of {lam} is not invertible")
-        total = total * ctx.quantum_integer(ctx.N + lam.content(i, j)) * den.invert()
-    return total
+        num = num * ctx.quantum_integer(ctx.N + lam.content(i, j))
+        den = den * hook
+    return num * den.invert()
 
 
 def quantum_dimension_general(ctx: RingContext, lam: YoungDiagram) -> CycScalar:
@@ -192,10 +193,12 @@ def twist_coefficient(ctx: RingContext, label) -> CycScalar:
     label (i, lam) picks up the crossing factor of the column object."""
     if isinstance(label, ReducedLabel):
         i, lam = label.i, label.diagram
-        theta_col = (ctx.a(ctx.N) * ctx.s()) ** ctx.N  # twist of 1^N
-        cross = ctx.a(ctx.N) * ctx.s()  # a^N s, the 1^N-past-one-cell factor
-        extra = cross ** (2 * ctx.N * (i * (i - 1) // 2) + 2 * i * lam.size)
-        return (theta_col ** i) * twist_coefficient(ctx, lam) * extra
+        N = ctx.N
+        # a^N s, the 1^N-past-one-cell factor, is a root of unity; the twist
+        # of 1^N is its N-th power, and i columns cross each other and lam
+        cross = ctx.a_exp * N + ctx.s_exp
+        expo = N * i + 2 * N * (i * (i - 1) // 2) + 2 * i * lam.size
+        return ctx.zeta(cross * expo) * twist_coefficient(ctx, lam)
     lam = label
     n = lam.size
     return ctx.zeta((ctx.a_exp * n * n - ctx.v_exp * n

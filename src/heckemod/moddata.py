@@ -24,7 +24,15 @@ from .diagrams import (
     quantum_dimension,
     twist_coefficient,
 )
-from .scalars import CycScalar, RingContext, ScalarError, solve_framing_reduced, su_parameters
+from .scalars import (
+    CycScalar,
+    RingContext,
+    ScalarError,
+    _PackedRows,
+    _packed_dot,
+    solve_framing_reduced,
+    su_parameters,
+)
 
 THEORIES = ("su", "psu", "reduced")
 
@@ -45,13 +53,22 @@ def _signed_permutations(N: int) -> tuple:
 
 def _alternant(ctx: RingContext, exponents: list[int],
                powers: list[int]) -> CycScalar:
-    """det(zeta^(exponents[i] * powers[j])), summed over permutations."""
-    N = ctx.N
-    total = ctx.zero()
-    for pi, sign in _signed_permutations(N):
-        term = ctx.zeta(sum(exponents[i] * powers[pi[i]] for i in range(N)))
-        total = total + term if sign == 1 else total - term
-    return total
+    """det(zeta^(exponents[i] * powers[j])), summed over permutations.
+
+    Every permutation adds its sign to a histogram of the exponent mod M; the
+    histogram maps once to the power basis through the table of zeta^k.
+    """
+    M = ctx.M
+    table = [[e * p % M for p in powers] for e in exponents]
+    hist = [0] * M
+    for pi, sign in _signed_permutations(ctx.N):
+        hist[sum(map(list.__getitem__, table, pi)) % M] += sign
+    nums = [0] * ctx.degree
+    for terms, h in zip(ctx._zeta_terms, hist):
+        if h:
+            for i, c in terms:
+                nums[i] += h * c
+    return CycScalar(ctx, tuple(nums))
 
 
 def s_matrix_column(ctx: RingContext, mu) -> tuple:
@@ -82,9 +99,10 @@ def s_matrix_entry(ctx: RingContext, lam, mu, column: tuple | None = None) -> Cy
     if isinstance(lam, ReducedLabel) or isinstance(mu, ReducedLabel):
         i, lam_d = (lam.i, lam.diagram) if isinstance(lam, ReducedLabel) else (0, lam)
         j, mu_d = (mu.i, mu.diagram) if isinstance(mu, ReducedLabel) else (0, mu)
-        cross = ctx.a(ctx.N) * ctx.s()
+        # the column-object crossing factor a^N s is a root of unity
+        cross = ctx.a_exp * ctx.N + ctx.s_exp
         expo = 2 * (i * j * ctx.N + i * mu_d.size + j * lam_d.size)
-        return cross ** expo * s_matrix_entry(ctx, lam_d, mu_d, column)
+        return ctx.zeta(cross * expo) * s_matrix_entry(ctx, lam_d, mu_d, column)
     N = ctx.N
     exps, inv_vandermonde, dim_mu = column
     top = [lam.row(i) + N - 1 - i for i in range(N)]
@@ -130,6 +148,17 @@ class ModularData:
     report: dict
     alpha: int | None = None
     beta: int | None = None
+    # conj(S), the same packed for dot products, and omega^-1 / <k> for
+    # fusion; all live as long as this data
+    s_conj: list = field(init=False, repr=False, compare=False)
+    _s_conj_packed: _PackedRows = field(
+        init=False, repr=False, compare=False)
+    _fusion_scale: list | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.s_conj = [[x.conjugate() for x in row] for row in self.s_matrix]
+        self._s_conj_packed = _PackedRows(self.ctx, self.s_conj)
 
     def index(self, label) -> int:
         return self.labels.index(label)
@@ -172,10 +201,10 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
         labels = enumerate_sector(N, K, "strict" if theory == "su" else "zero")
         closed_factor = N if theory == "su" else 1
 
-    dims = [quantum_dimension(ctx, lab) for lab in labels]
     twists = [twist_coefficient(ctx, lab) for lab in labels]
     n = len(labels)
     columns = [s_matrix_column(ctx, mu) for mu in labels]
+    dims = [col[2] for col in columns]
     s_matrix = [[s_matrix_entry(ctx, lam, mu, col)
                  for mu, col in zip(labels, columns)] for lam in labels]
 
@@ -202,17 +231,11 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     else:
         report["delta_product"] = dplus * dminus == omega
     # modularity S S-bar = omega I
-    s_conj = [[x.conjugate() for x in row] for row in s_matrix]
-    modular = True
-    for i in range(n):
-        for j in range(n):
-            acc = ctx.zero()
-            for k in range(n):
-                acc = acc + s_matrix[i][k] * s_conj[j][k]
-            want = omega if i == j else ctx.zero()
-            if acc != want:
-                modular = False
-    report["modular"] = modular
+    rows = _packed_dot(_PackedRows(ctx, s_matrix), data._s_conj_packed)
+    zero = ctx.zero()
+    report["modular"] = all(
+        x == (omega if i == j else zero)
+        for i, row in enumerate(rows) for j, x in enumerate(row))
 
     # The degree-zero sub-theory is degenerate whenever gcd(N, K) > 1: the
     # labels in the spectral-flow orbit of the empty diagram have identical
@@ -235,19 +258,17 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
 def fusion_coefficients(data: ModularData, lam: YoungDiagram, mu: YoungDiagram) -> dict:
     """Fusion rules by diagonalizing with the S-matrix; exact nonnegative
     integers or an error."""
-    n = len(data.labels)
-    ctx = data.ctx
-    i_l, i_m = data.index(lam), data.index(mu)
+    if data._fusion_scale is None:
+        omega_inv = data.omega.invert()
+        data._fusion_scale = [omega_inv * d_.invert() for d_ in data.dims]
+    s_l = data.s_matrix[data.index(lam)]
+    s_m = data.s_matrix[data.index(mu)]
+    # S_lk S_mk / (omega <k>), shared by every nu
+    weights = [x * y * z for x, y, z in zip(s_l, s_m, data._fusion_scale)]
+    values, = _packed_dot(_PackedRows(data.ctx, [weights]),
+                          data._s_conj_packed)
     out = {}
-    omega_inv = data.omega.invert()
-    # S_lk S_mk / <k>, shared by every nu
-    weights = [data.s_matrix[i_l][k] * data.s_matrix[i_m][k] * data.dims[k].invert()
-               for k in range(n)]
-    for i_n in range(n):
-        acc = ctx.zero()
-        for k in range(n):
-            acc = acc + weights[k] * data.s_matrix[i_n][k].conjugate()
-        val = acc * omega_inv
+    for i_n, val in enumerate(values):
         if val.is_zero():
             continue
         if not val.is_rational():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable
 
 import mpmath
@@ -118,6 +118,8 @@ class RingContext:
         self._zeta_terms = tuple(terms)
         self._conj_terms = tuple(terms[-k % M] for k in range(deg))
         self._zeta_pows: dict[int, CycScalar] = {}
+        # precision -> the embeddings of zeta^0 .. zeta^(deg-1), read by embed
+        self._embedded_powers: dict[int, tuple] = {}
         # (n, kind) -> HeckeElement, filled by hecke.symmetrizer; kept on the
         # ring so the cache dies with it
         self.symmetrizers: dict = {}
@@ -203,6 +205,21 @@ class RingContext:
         return f"RingContext(M={self.M}, N={self.N}, K={self.K})"
 
 
+def _reduce_phi(ring: RingContext, prod: list[int]) -> tuple:
+    """The power-basis coefficients of the integer polynomial ``prod``
+    (ascending, at most 2*deg - 1 terms) modulo Phi_M: each coefficient of
+    x^k, k >= deg, folds down through x^deg = tail.  ``prod`` is consumed."""
+    deg = ring.degree
+    tail = ring._phi_tail
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k]
+        if c:
+            base = k - deg
+            for i, p in tail:
+                prod[base + i] += c * p
+    return tuple(prod[:deg])
+
+
 def _canonical(ring: RingContext, nums: tuple, den: int) -> "CycScalar":
     """nums/den with the common factor removed and the denominator positive."""
     g = math.gcd(den, *nums)
@@ -281,25 +298,18 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        deg = ring.degree
         terms = [(j, y) for j, y in enumerate(other.nums) if y]
         # schoolbook product, then reduce the top half with x^deg = tail
-        prod = [0] * (2 * deg - 1)
+        prod = [0] * (2 * ring.degree - 1)
         for i, x in enumerate(self.nums):
             if x:
                 for j, y in terms:
                     prod[i + j] += x * y
-        tail = ring._phi_tail
-        for k in range(2 * deg - 2, deg - 1, -1):
-            c = prod[k]
-            if c:
-                base = k - deg
-                for i, p in tail:
-                    prod[base + i] += c * p
+        nums = _reduce_phi(ring, prod)
         den = self.den * other.den
         if den == 1:
-            return CycScalar(ring, tuple(prod[:deg]))
-        return _canonical(ring, tuple(prod[:deg]), den)
+            return CycScalar(ring, nums)
+        return _canonical(ring, nums, den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -408,19 +418,113 @@ class CycScalar:
             raise ScalarError(
                 f"precision must be at least {MIN_PRECISION} digits")
         with mpmath.workdps(precision + 15):
-            root = mpmath.exp(2j * mpmath.pi / self.ring.M)
+            powers = self.ring._embedded_powers.get(precision)
+            if powers is None:
+                root = mpmath.exp(2j * mpmath.pi / self.ring.M)
+                power = mpmath.mpc(1)
+                table = []
+                for _ in range(self.ring.degree):
+                    table.append(power)
+                    power *= root
+                powers = self.ring._embedded_powers[precision] = tuple(table)
             acc = mpmath.mpc(0)
-            power = mpmath.mpc(1)
-            for c in self.coeffs:
+            for c, power in zip(self.coeffs, powers):
                 if c:
                     acc += mpmath.mpf(c.numerator) / c.denominator * power
-                power *= root
             return +acc
 
     def __repr__(self) -> str:  # pragma: no cover
         terms = [f"{c}*z^{k}" if k else f"{c}"
                  for k, c in enumerate(self.coeffs) if c]
         return "CycScalar(" + (" + ".join(terms) or "0") + f"; M={self.ring.M})"
+
+
+# ---------------------------------------------------------------------------
+# dot products of scalar rows by Kronecker substitution
+# ---------------------------------------------------------------------------
+
+class _PackedRows:
+    """Rows of scalars of one field, each row put over one common
+    denominator, ready for :func:`_packed_dot`.
+
+    At width b an entry with numerators c_0 .. c_(deg-1) packs into the one
+    integer sum c_i 2^(b*i), its polynomial evaluated at 2^b.  The packing is
+    kept, so rows that take part in many dot products (conj(S) in fusion)
+    are repacked only when a product needs a wider field.
+    """
+
+    __slots__ = ("ring", "nums", "dens", "length", "bound", "width",
+                 "packed", "__weakref__")
+
+    def __init__(self, ring: RingContext, rows: Iterable):
+        self.ring = ring
+        self.nums = []
+        self.dens = []
+        self.length = 0
+        bound = 0
+        for row in rows:
+            den = math.lcm(*(x.den for x in row))
+            vecs = [x.nums if x.den == den
+                    else tuple(c * (den // x.den) for c in x.nums)
+                    for x in row]
+            for v in vecs:
+                bound = max(bound, max(v), -min(v))
+            self.nums.append(vecs)
+            self.dens.append(den)
+            self.length = max(self.length, len(vecs))
+        self.bound = bound
+        self.width = 0
+        self.packed = None
+
+    def at(self, width: int) -> list:
+        """The packed rows at the given width."""
+        if width != self.width:
+            packed = []
+            for row in self.nums:
+                out = []
+                for v in row:
+                    acc = 0
+                    for c in reversed(v):
+                        acc = (acc << width) + c
+                    out.append(acc)
+                packed.append(out)
+            self.packed = packed
+            self.width = width
+        return self.packed
+
+
+def _packed_dot(xs: _PackedRows, ys: _PackedRows):
+    """Yield [sum_k x_ik * y_jk for each row j of ys] for each row i of xs,
+    exactly.
+
+    Each term is one product of packed integers.  A coefficient of the
+    unreduced sum polynomial is a sum of at most length * deg products of
+    numerators, so it is at most bound = length * deg * max|x| * max|y| in
+    absolute value and fits in a signed field of bit_length(bound) + 1 bits.
+    The summed integer is unpacked once, reduced modulo Phi_M once and put
+    over the two rows' denominators.
+    """
+    ring = xs.ring
+    deg = ring.degree
+    bound = max(xs.length, ys.length) * deg * xs.bound * ys.bound
+    # reuse a packing already made at a wider width
+    width = max(bound.bit_length() + 1, xs.width, ys.width)
+    px, py = xs.at(width), ys.at(width)
+    terms = 2 * deg - 1
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    # adding half to every field makes each one a nonnegative digit
+    bias = sum(half << (width * t) for t in range(terms))
+    for xrow, dx in zip(px, xs.dens):
+        orow = []
+        for yrow, dy in zip(py, ys.dens):
+            v = sum(map(mul, xrow, yrow)) + bias
+            prod = []
+            for _ in range(terms):
+                prod.append((v & mask) - half)
+                v >>= width
+            orow.append(_canonical(ring, _reduce_phi(ring, prod), dx * dy))
+        yield orow
 
 
 # ---------------------------------------------------------------------------

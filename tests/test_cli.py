@@ -146,7 +146,15 @@ def test_usage_errors(capsys):
     assert main(["modular-data", "2", "2", "--precision", "14"]) == 1
     assert main(["homfly", "--braid", "1", "--strands", "2", "2", "2",
                  "--precision", "0"]) == 1
-    capsys.readouterr()
+    # a malformed structure, not a ValueError traceback
+    for structure in ("a", ",", "1,x"):
+        assert main(["invariant", "--manifold", manifest_path("u0"), "3", "3",
+                     "--theory", "reduced", "--refined", "coho",
+                     "--structure", structure]) == 1
+    # no strands at all, not the value 1 of an empty closure
+    assert main(["homfly", "2", "3", "--strands", "0"]) == 1
+    assert main(["homfly", "2", "3", "--strands", "-3"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("doc", [

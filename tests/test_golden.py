@@ -4,7 +4,10 @@
 sha256 of the bytes written by ``--json``.  The ``modular-data`` and
 ``invariant`` values were recorded before the scalar core moved from Fraction
 vectors to integer vectors, the ``verify`` and ``hecke-check`` values before
-the signature moved to leaf elimination over the forest, so any change to
+the signature moved to leaf elimination over the forest, and the
+``modular-data 4 4`` and ``verify 3 4`` values, where the packing width is
+largest, before the modularity check and fusion moved to packed integer dot
+products, so any change to
 exact values, to the canonical ``num``/``den`` form, to a gate result or to
 the printed approximations shows here.
 """
@@ -34,6 +37,9 @@ COMMANDS = (
        for N, K in ((2, 2), (2, 3), (3, 3))]
     + [["verify", "2", "2", "--depth", "full"]]
     + [["hecke-check", str(N), str(K)] for N, K in ((2, 3), (3, 3))]
+    + [["modular-data", "4", "4"],
+       ["modular-data", "4", "4", "--theory", "reduced"],
+       ["verify", "3", "4", "--depth", "quick"]]
 )
 
 

@@ -1,4 +1,7 @@
+import gc
 import math
+import random
+import weakref
 
 import mpmath
 import pytest
@@ -13,6 +16,8 @@ from heckemod.diagrams import (
 )
 from heckemod.moddata import (
     ModularData,
+    _alternant,
+    _signed_permutations,
     build_modular_data,
     fusion_coefficients,
     fusion_from_lr,
@@ -22,7 +27,13 @@ from heckemod.moddata import (
     s_matrix_entry,
     verlinde_dimension,
 )
-from heckemod.scalars import ScalarError, su_parameters
+from heckemod.scalars import (
+    ScalarError,
+    _packed_dot,
+    _PackedRows,
+    solve_framing_reduced,
+    su_parameters,
+)
 
 SU_GRID = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
 
@@ -241,3 +252,63 @@ def test_hecke_cross_oracle():
 def test_unknown_theory():
     with pytest.raises(ScalarError):
         build_modular_data(2, 2, "bogus")
+
+
+# ---------------------------------------------------------------------------
+# the packed paths against the plain sums they replace
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N,K,theory,modular", [
+    (3, 3, "su", True), (2, 4, "reduced", True),
+    # degenerate: gcd(N, K) > 1 makes S singular, so the product is not
+    # omega I and the comparison covers nonzero off-diagonal entries
+    (3, 3, "psu", False)])
+def test_packed_modularity_matches_triple_loop(N, K, theory, modular):
+    data = build_modular_data(N, K, theory)
+    ctx, S = data.ctx, data.s_matrix
+    n = len(S)
+    got = list(_packed_dot(_PackedRows(ctx, S), data._s_conj_packed))
+    for i in range(n):
+        for j in range(n):
+            acc = ctx.zero()
+            for k in range(n):
+                acc = acc + S[i][k] * S[j][k].conjugate()
+            assert got[i][j] == acc, (i, j)
+            assert (got[i][j].nums, got[i][j].den) == (acc.nums, acc.den)
+    assert data.report["modular"] is modular
+
+
+def _alternant_by_permutations(ctx, exponents, powers):
+    total = ctx.zero()
+    for pi, sign in _signed_permutations(ctx.N):
+        term = ctx.zeta(sum(exponents[i] * powers[pi[i]]
+                            for i in range(ctx.N)))
+        total = total + term if sign == 1 else total - term
+    return total
+
+
+@pytest.mark.parametrize("ctx", [
+    su_parameters(2, 3), su_parameters(3, 3), su_parameters(4, 2),
+    su_parameters(5, 2), solve_framing_reduced(4, 2)[2]],
+    ids=["su23", "su33", "su42", "su52", "reduced42"])
+def test_alternant_histogram_matches_permutation_sum(ctx):
+    rng = random.Random(ctx.M)
+    for _ in range(20):
+        exponents = [rng.randrange(ctx.M) for _ in range(ctx.N)]
+        # repeated powers give a vanishing alternant
+        powers = [rng.randrange(-ctx.M, ctx.M) for _ in range(ctx.N)]
+        got = _alternant(ctx, exponents, powers)
+        want = _alternant_by_permutations(ctx, exponents, powers)
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+
+def test_packed_conj_s_dies_with_its_data():
+    data = build_modular_data(2, 3, "su")
+    one = YoungDiagram.of(1)
+    assert fusion_coefficients(data, one, one)
+    packed = data._s_conj_packed
+    assert packed.width > 0
+    ref = weakref.ref(packed)
+    del data, packed
+    gc.collect()
+    assert ref() is None
