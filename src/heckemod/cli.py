@@ -134,7 +134,7 @@ def _load_graph(args) -> PlumbingGraph:
         raise UsageError(f"cannot read manifold file: {ex}")
     except json.JSONDecodeError as ex:
         raise UsageError(f"manifold file is not valid JSON: {ex}")
-    if "graph" in doc:  # bundled manifest wrapper
+    if isinstance(doc, dict) and "graph" in doc:  # bundled manifest wrapper
         doc = doc["graph"]
     return parse_plumbing(doc)
 

@@ -3,8 +3,8 @@
 The reduced invariant decomposes over mod-d spin structures (spin rank-level,
 d even) or mod-d cohomology classes (otherwise).  Both structure sets are the
 solutions of a linear characteristic equation on the linking matrix, solved
-exactly through the integer Smith normal form.  The abelian Gauss-sum
-invariant at the root of unity zeta and the factorization
+exactly by forest leaf elimination.  The abelian Gauss-sum invariant at the
+root of unity zeta and the factorization
 
     tau_su = tau_u1 * tau_reduced
 
@@ -15,21 +15,17 @@ different formal eta extensions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import mpmath
 
 from .moddata import ModularData, build_modular_data
 from .scalars import MIN_PRECISION, CycScalar, ExtScalar, ScalarError
-from .surgery import (PlumbingGraph, _normalized, colored_bracket,
-                      linking_data, tau)
+from .surgery import (PlumbingGraph, PlumbingVertex, _eliminate,
+                      _normalized, colored_bracket, linking_data, tau)
 
 __all__ = [
     "SpinStructureSet",
-    "smith_normal_form",
-    "solve_linear_mod",
-    "h1_cardinality",
     "characteristic_solutions",
     "refined_tau",
     "graded_gauss_sums",
@@ -40,117 +36,6 @@ __all__ = [
     "u1_invariant",
     "reduction_check",
 ]
-
-
-# ---------------------------------------------------------------------------
-# integer Smith normal form
-# ---------------------------------------------------------------------------
-
-def smith_normal_form(A):
-    """U A V = D with U, V unimodular and D diagonal with divisibility
-    D[0][0] | D[1][1] | ...  Returns (D, U, V)."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    D = [list(map(int, row)) for row in A]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def row_sub(i, j, f):  # row_i -= f * row_j
-        for k in range(m):
-            D[i][k] -= f * D[j][k]
-        for k in range(n):
-            U[i][k] -= f * U[j][k]
-
-    def col_sub(i, j, f):  # col_i -= f * col_j
-        for k in range(n):
-            D[k][i] -= f * D[k][j]
-        for k in range(m):
-            V[k][i] -= f * V[k][j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for k in range(n):
-            D[k][i], D[k][j] = D[k][j], D[k][i]
-        for k in range(m):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
-
-    for t in range(min(n, m)):
-        while True:
-            pivot = min(((abs(D[i][j]), i, j)
-                         for i in range(t, n) for j in range(t, m)
-                         if D[i][j]), default=None)
-            if pivot is None:
-                break
-            _, pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            for i in range(t + 1, n):
-                if D[i][t]:
-                    row_sub(i, t, D[i][t] // D[t][t])
-            for j in range(t + 1, m):
-                if D[t][j]:
-                    col_sub(j, t, D[t][j] // D[t][t])
-            if any(D[i][t] for i in range(t + 1, n)) or \
-                    any(D[t][j] for j in range(t + 1, m)):
-                continue  # remainders became the new, smaller candidates
-            # enforce the divisibility chain
-            bad = next(((i, j) for i in range(t + 1, n)
-                        for j in range(t + 1, m)
-                        if D[i][j] % D[t][t]), None)
-            if bad is None:
-                break
-            row_sub(t, bad[0], -1)  # bring the offending row into play
-        if t < min(n, m) and D[t][t] < 0:
-            for k in range(m):
-                D[t][k] = -D[t][k]
-            for k in range(n):
-                U[t][k] = -U[t][k]
-    return D, U, V
-
-
-def _h1_from_smith(D, d: int) -> int:
-    return math.prod(math.gcd(D[i][i], d) for i in range(len(D)))
-
-
-def h1_cardinality(B, d: int) -> int:
-    """|Hom(coker B, Z/d)| = prod gcd(D_ii, d) over all m diagonal slots."""
-    return _h1_from_smith(smith_normal_form(B)[0], d)
-
-
-def solve_linear_mod(B, target, d: int):
-    """All solutions c of B c = target (mod d), via the Smith form."""
-    return _solve_from_smith(*smith_normal_form(B), target, d)
-
-
-def _solve_from_smith(D, U, V, target, d: int):
-    """All solutions c of B c = target (mod d), given U B V = D."""
-    m = len(D)
-    rhs = [sum(U[i][k] * target[k] for k in range(m)) % d for i in range(m)]
-    per_coordinate = []
-    for i in range(m):
-        dii = D[i][i]
-        g = math.gcd(dii, d)
-        if rhs[i] % g:
-            return []
-        if dii % d == 0:
-            # free coordinate (rhs[i] == 0 was just checked since g == d)
-            per_coordinate.append(list(range(d)))
-            continue
-        step = d // g
-        inv = pow((dii // g) % step, -1, step)
-        y0 = (rhs[i] // g) * inv % step
-        per_coordinate.append([(y0 + k * step) % d for k in range(g)])
-    solutions = []
-    for ys in itertools.product(*per_coordinate):
-        c = tuple(sum(V[i][k] * ys[k] for k in range(m)) % d
-                  for i in range(m))
-        solutions.append(c)
-    return sorted(set(solutions))
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +57,68 @@ def _characteristic_target(B, d: int, kind: str):
     return [0] * m
 
 
+def _linking_forest(B) -> PlumbingGraph:
+    """The forest on the rows of B (vertex i is row i) whose edges are its
+    off-diagonal 1s.  A B that is not square or symmetric, has another
+    off-diagonal entry or has a cycle is not a plumbing linking matrix and
+    raises ScalarError."""
+    if any(len(row) != len(B) for row in B):
+        raise ScalarError("linking matrix must be square")
+    edges = []
+    for i, row in enumerate(B):
+        for j, x in enumerate(row):
+            if x and j != i:
+                if x != 1 or B[j][i] != 1:
+                    raise ScalarError(f"linking matrix entry ({i}, {j}) = "
+                                      f"{x} is not a plumbing edge")
+                if i < j:
+                    edges.append((i, j))
+    return PlumbingGraph(
+        [PlumbingVertex(i, row[i]) for i, row in enumerate(B)], edges)
+
+
 def characteristic_solutions(B, d: int, kind: str) -> SpinStructureSet:
-    """Solutions of B c = (d/2) diag(B) (spin) or B c = 0 (coho) mod d."""
+    """Solutions of B c = (d/2) diag(B) (spin) or B c = 0 (coho) mod d, for
+    the linking matrix B of a plumbing forest, by leaf elimination.
+
+    The preorder is read backwards.  Each vertex v hands its parent p the
+    partial solutions (v, c_v, children's partials) of its subtree that
+    satisfy every equation below v, grouped by the value of c_p that the
+    equation of v then forces; v's partials with c_v = a combine one
+    partial from each child's group a.  A root's equation has no parent
+    term, so each tree contributes only the partials of its root's group 0.
+    """
     if kind not in ("spin", "coho"):
         raise ScalarError(f"unknown structure kind {kind!r}")
     if d < 1:
         raise ScalarError("modulus must be >= 1")
     if kind == "spin" and d % 2:
         raise ScalarError("spin structures need an even modulus")
-    D, U, V = smith_normal_form(B)
-    sols = _solve_from_smith(D, U, V, _characteristic_target(B, d, kind), d)
+    g = _linking_forest(B)
+    target = _characteristic_target(B, d, kind)
+    inbox = [[] for _ in B]  # the groups handed up by each vertex's children
+    roots = []
+    for v, parent in reversed(g.preorder):
+        groups = {}
+        for a in range(d):
+            rest = target[v] - B[v][v] * a
+            for kids in itertools.product(*(x.get(a, []) for x in inbox[v])):
+                forced = (rest - sum(kid[1] for kid in kids)) % d
+                groups.setdefault(forced, []).append((v, a, kids))
+        inbox[v] = None
+        (roots if parent is None else inbox[parent]).append(groups)
+    sols = []
+    for per_tree in itertools.product(*(x.get(0, []) for x in roots)):
+        c = [0] * len(B)
+        stack = list(per_tree)
+        while stack:
+            v, a, kids = stack.pop()
+            c[v] = a
+            stack.extend(kids)
+        sols.append(tuple(c))
     if not sols:
         raise ScalarError("internal error: empty characteristic solution set")
-    if len(sols) != _h1_from_smith(D, d):
-        raise ScalarError("internal error: solution count does not match "
-                          "the first cohomology cardinality")
-    return SpinStructureSet(d, [list(r) for r in B], sols, kind)
+    return SpinStructureSet(d, [list(r) for r in B], sorted(sols), kind)
 
 
 def is_characteristic(B, c, d: int, kind: str) -> bool:
@@ -290,19 +221,30 @@ def u1_gauss_unit(su_data: ModularData, red_data: ModularData) -> CycScalar:
     return total
 
 
+def _abelian_gauss_sum(g: PlumbingGraph, su_data: ModularData,
+                       red_data: ModularData) -> CycScalar:
+    """sum_{j in (Z/N')^m} zeta^(jBj), B the linking matrix of g, by the
+    bracket's leaf elimination: surgery vertex v weighs label j by
+    zeta^(b_v j^2), an edge with end labels i, j contributes zeta^(2ij),
+    and a link vertex, which is not in B, takes label 0 alone."""
+    ctx = su_data.ctx
+    n_prime = su_data.N // su_data.grading_modulus
+    zeta = u1_root_of_unity(su_data, red_data.beta)
+    weights = {v.id: {0: ctx.one()} if v.is_link else
+               {j: zeta ** (v.framing * j * j) for j in range(n_prime)}
+               for v in g.vertices}
+    table = [[zeta ** (2 * i * j) for j in range(n_prime)]
+             for i in range(n_prime)]
+    return _eliminate(g, weights, table, ctx)
+
+
 def u1_invariant(g: PlumbingGraph, su_data: ModularData,
                  red_data: ModularData):
     """(Delta/delta)^(-sigma) (eta/eta~)^m sum_{j in (Z/N')^m} zeta^(jBj),
     with B the linking matrix of g, evaluated in the complex embedding."""
     B, sigma = linking_data(g)
     m = len(B)
-    ctx = su_data.ctx
-    n_prime = su_data.N // su_data.grading_modulus
-    zeta = u1_root_of_unity(su_data, red_data.beta)
-    gauss = ctx.zero()
-    for js in itertools.product(range(n_prime), repeat=m):
-        expo = sum(B[i][k] * js[i] * js[k] for i in range(m) for k in range(m))
-        gauss = gauss + zeta ** expo
+    gauss = _abelian_gauss_sum(g, su_data, red_data)
     with mpmath.workdps(MIN_PRECISION + 15):
         big_delta = ExtScalar(su_data.delta_plus, 1, "su",
                               su_data.omega).embed()

@@ -231,6 +231,29 @@ def _canonical(ring: RingContext, nums: tuple, den: int) -> "CycScalar":
     return CycScalar(ring, nums, den)
 
 
+def _embed(ring: RingContext, coeffs, precision: int):
+    """Value at zeta = exp(2*pi*i/M) of the scalar of ``ring`` whose
+    power-basis coefficients are ``coeffs`` (reduced Fractions)."""
+    if precision < MIN_PRECISION:
+        raise ScalarError(
+            f"precision must be at least {MIN_PRECISION} digits")
+    with mpmath.workdps(precision + 15):
+        powers = ring._embedded_powers.get(precision)
+        if powers is None:
+            root = mpmath.exp(2j * mpmath.pi / ring.M)
+            power = mpmath.mpc(1)
+            table = []
+            for _ in range(ring.degree):
+                table.append(power)
+                power *= root
+            powers = ring._embedded_powers[precision] = tuple(table)
+        acc = mpmath.mpc(0)
+        for c, power in zip(coeffs, powers):
+            if c:
+                acc += mpmath.mpf(c.numerator) / c.denominator * power
+        return +acc
+
+
 class CycScalar:
     """An element nums/den of Q(zeta_M) in canonical form.
 
@@ -414,24 +437,7 @@ class CycScalar:
 
     def embed(self, precision: int = MIN_PRECISION):
         """Numerical value at zeta = exp(2*pi*i/M), as an mpmath complex number."""
-        if precision < MIN_PRECISION:
-            raise ScalarError(
-                f"precision must be at least {MIN_PRECISION} digits")
-        with mpmath.workdps(precision + 15):
-            powers = self.ring._embedded_powers.get(precision)
-            if powers is None:
-                root = mpmath.exp(2j * mpmath.pi / self.ring.M)
-                power = mpmath.mpc(1)
-                table = []
-                for _ in range(self.ring.degree):
-                    table.append(power)
-                    power *= root
-                powers = self.ring._embedded_powers[precision] = tuple(table)
-            acc = mpmath.mpc(0)
-            for c, power in zip(self.coeffs, powers):
-                if c:
-                    acc += mpmath.mpf(c.numerator) / c.denominator * power
-            return +acc
+        return _embed(self.ring, self.coeffs, precision)
 
     def __repr__(self) -> str:  # pragma: no cover
         terms = [f"{c}*z^{k}" if k else f"{c}"
@@ -593,7 +599,10 @@ class ExtScalar:
         return hash((self.base, parity, self.theory))
 
     def embed(self, precision: int = MIN_PRECISION):
-        val = self.base.embed(precision)
+        return self._times_eta_power(self.base.embed(precision), precision)
+
+    def _times_eta_power(self, val, precision: int):
+        """val, the embedded base, times the embedded eta^eta_pow."""
         if self.eta_pow:
             with mpmath.workdps(precision + 15):
                 om = self.omega.embed(precision)
@@ -707,19 +716,22 @@ def _verify_reduced_context(ctx: RingContext, alpha: int, beta: int,
 # ---------------------------------------------------------------------------
 
 def scalar_to_json(x: CycScalar | ExtScalar, precision: int = 15) -> dict:
+    """Canonical JSON form: the reduced power-basis coefficients (built
+    once) and the complex approximation, plus the eta power and theory of
+    an eta-extended scalar."""
+    base = x.base if isinstance(x, ExtScalar) else x
+    coeffs = base.coeffs
+    val = _embed(base.ring, coeffs, precision)
+    doc = {
+        "order": base.ring.M,
+        "num": [c.numerator for c in coeffs],
+        "den": [c.denominator for c in coeffs],
+    }
     if isinstance(x, ExtScalar):
-        doc = scalar_to_json(x.base, precision)
         doc["eta_pow"] = x.eta_pow
         doc["theory"] = x.theory
-        val = x.embed(precision)
-        doc["approx"] = _complex_json(val, precision)
-        return doc
-    doc = {
-        "order": x.ring.M,
-        "num": [c.numerator for c in x.coeffs],
-        "den": [c.denominator for c in x.coeffs],
-        "approx": _complex_json(x.embed(precision), precision),
-    }
+        val = x._times_eta_power(val, precision)
+    doc["approx"] = _complex_json(val, precision)
     return doc
 
 

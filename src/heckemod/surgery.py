@@ -113,15 +113,35 @@ class PlumbingGraph:
         return [v for v in self.vertices if not v.is_link]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_color(vid, color) -> None:
+    """A link color document: an object with an optional integer 'i' and
+    an optional 'lambda', a list of positive, weakly decreasing integers."""
+    if not isinstance(color, dict):
+        raise ScalarError(f"link color of vertex {vid!r} must be an "
+                          f"object, got {color!r}")
+    rows = color.get("lambda", [])
+    if not _is_int(color.get("i", 0)) or not isinstance(rows, list) \
+            or not all(map(_is_int, rows)) or any(r <= 0 for r in rows) \
+            or any(a < b for a, b in zip(rows, rows[1:])):
+        raise ScalarError(f"link color of vertex {vid!r} needs an integer "
+                          "'i' and a 'lambda' of positive, weakly "
+                          f"decreasing integer rows, got {color!r}")
+
+
 def parse_plumbing(document: dict) -> PlumbingGraph:
     """Build a validated plumbing forest from its JSON document.
 
-    Framings must be JSON integers (not booleans, floats or strings) and
-    each edge a list of two vertex ids; anything else raises ScalarError
-    naming the bad record.
+    Framings must be JSON integers (not booleans, floats or strings), link
+    colors as ``_check_color`` describes and each edge a list of two vertex
+    ids; anything else raises ScalarError naming the bad record.
     """
     if not isinstance(document, dict):
-        raise ScalarError("plumbing document must be an object")
+        raise ScalarError(
+            f"plumbing document must be an object, got {document!r}")
     records = document.get("vertices", [])
     if not isinstance(records, list):
         raise ScalarError(f"'vertices' must be a list, got {records!r}")
@@ -130,13 +150,12 @@ def parse_plumbing(document: dict) -> PlumbingGraph:
         if not isinstance(rec, dict) or "id" not in rec or "framing" not in rec:
             raise ScalarError(f"vertex record needs 'id' and 'framing': {rec!r}")
         framing = rec["framing"]
-        if isinstance(framing, bool) or not isinstance(framing, int):
+        if not _is_int(framing):
             raise ScalarError(f"framing of vertex {rec['id']!r} must be an "
                               f"integer, got {framing!r}")
         color = rec.get("link")
-        if color is not None and not isinstance(color, dict):
-            raise ScalarError(f"link color of vertex {rec['id']!r} must be an "
-                              f"object, got {color!r}")
+        if color is not None:
+            _check_color(rec["id"], color)
         vertices.append(PlumbingVertex(str(rec["id"]), framing,
                                        color=dict(color) if color else None))
     edges = document.get("edges", [])
@@ -269,36 +288,49 @@ def _candidate_lists(g: PlumbingGraph, data: ModularData, degree_filter):
         if not 0 <= residue < d:
             raise ScalarError(
                 f"degree filter residue {residue} outside modulus {d}")
+    # each distinct power of a dimension or a twist is taken once
+    dim_powers, twist_powers = {}, {}
+
+    def weight(i, dim_exp, framing):
+        if (i, dim_exp) not in dim_powers:
+            dim_powers[i, dim_exp] = data.dims[i] ** dim_exp
+        if (i, framing) not in twist_powers:
+            twist_powers[i, framing] = data.twists[i] ** framing
+        return dim_powers[i, dim_exp] * twist_powers[i, framing]
+
     cands = {}
     for v in g.vertices:
         deg = len(g.adjacency[v.id])
         if v.is_link:
             i = resolve_color(data, v.color)
-            weight = data.dims[i] ** (1 - deg) * data.twists[i] ** v.framing
-            cands[v.id] = [(i, weight)]
+            cands[v.id] = [(i, weight(i, 1 - deg, v.framing))]
             continue
         residue = degree_filter.get(v.id)
-        options = []
-        for i, lab in enumerate(data.labels):
-            if residue is not None and data.degree(lab) % d != residue:
-                continue
-            weight = data.dims[i] ** (2 - deg) * data.twists[i] ** v.framing
-            options.append((i, weight))
-        cands[v.id] = options
+        cands[v.id] = [
+            (i, weight(i, 2 - deg, v.framing))
+            for i, lab in enumerate(data.labels)
+            if residue is None or data.degree(lab) % d == residue]
     return cands
 
 
 def colored_bracket(g: PlumbingGraph, data: ModularData,
                     degree_filter=None) -> CycScalar:
-    """<L(Omega, ..., Omega)> by leaf elimination over the forest: the
-    preorder is read backwards, so each vertex folds into its parent after
-    all of its children have folded into it."""
-    ctx = data.ctx
-    S = data.s_matrix
-    # weights[v][c]: total weight of the eliminated part of v's subtree
-    # when v has color c
+    """<L(Omega, ..., Omega)> by leaf elimination over the forest."""
     weights = {vid: dict(options) for vid, options in
                _candidate_lists(g, data, degree_filter).items()}
+    return _eliminate(g, weights, data.s_matrix, data.ctx)
+
+
+def _eliminate(g: PlumbingGraph, weights: dict, matrix, ctx) -> CycScalar:
+    """Sum over the labelings of the vertices, each vertex v taking a label
+    in weights[v], of the product of the vertex weights and of
+    matrix[i][j] over every edge with end labels i and j.
+
+    The preorder is read backwards, so each vertex folds into its parent
+    after all of its children have folded into it.  ``weights`` is
+    consumed: weights[v][c] becomes the total weight of the eliminated part
+    of v's subtree when v has label c.
+    """
     total = ctx.one()
     for vid, parent in reversed(g.preorder):
         own = weights.pop(vid)
@@ -309,11 +341,11 @@ def colored_bracket(g: PlumbingGraph, data: ModularData,
             total = total * tree_sum
             continue
         up = weights[parent]
-        # message to the parent color j: sum_i w_i * S[i][j]
+        # message to the parent label j: sum_i w_i * matrix[i][j]
         for j in up:
             acc = ctx.zero()
             for i, w in own.items():
-                acc = acc + w * S[i][j]
+                acc = acc + w * matrix[i][j]
             up[j] = up[j] * acc
     return total
 

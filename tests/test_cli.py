@@ -163,8 +163,14 @@ def test_usage_errors(capsys):
     {"vertices": [{"id": "a", "framing": "1"}]},
     {"vertices": [{"id": "a", "framing": 1}], "edges": [["a"]]},
     {"vertices": 5},
+    5,
+    {"vertices": [{"id": "a", "framing": 0, "link": {"i": "x"}}]},
+    {"vertices": [{"id": "a", "framing": 0, "link": {"lambda": "ab"}}]},
+    {"vertices": [{"id": "a", "framing": 0, "link": {"lambda": [0]}}]},
+    {"vertices": [{"id": "a", "framing": 0, "link": {"lambda": [1, 2]}}]},
 ], ids=["float-framing", "bool-framing", "string-framing", "short-edge",
-        "vertices-not-list"])
+        "vertices-not-list", "document-not-object", "string-color-index",
+        "string-lambda", "zero-row", "increasing-rows"])
 def test_malformed_plumbing_exit(doc, tmp_path, capsys):
     # a malformed document is a computation error naming the bad record,
     # never a coerced value or a traceback

@@ -9,22 +9,22 @@ import pytest
 
 from heckemod.moddata import build_modular_data
 from heckemod.refine import (
+    _abelian_gauss_sum,
     blowdown_transform,
     blowup_transform,
     characteristic_solutions,
     graded_gauss_sums,
-    h1_cardinality,
     is_characteristic,
     reduction_check,
     refined_tau,
-    smith_normal_form,
-    solve_linear_mod,
     u1_gauss_unit,
     u1_invariant,
     u1_root_of_unity,
 )
 from heckemod.scalars import ExtScalar, ScalarError
 from heckemod.surgery import (
+    PlumbingGraph,
+    PlumbingVertex,
     chain,
     colored_bracket,
     disjoint_union,
@@ -81,6 +81,117 @@ def random_symmetric(rng, n):
         for j in range(i, n):
             B[i][j] = B[j][i] = rng.randint(-4, 4)
     return B
+
+
+# ---------------------------------------------------------------------------
+# oracles: the integer Smith normal form and linear solving through it
+# ---------------------------------------------------------------------------
+
+def smith_normal_form(A):
+    """U A V = D with U, V unimodular and D diagonal with divisibility
+    D[0][0] | D[1][1] | ...  Returns (D, U, V)."""
+    n = len(A)
+    m = len(A[0]) if n else 0
+    D = [list(map(int, row)) for row in A]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def row_sub(i, j, f):  # row_i -= f * row_j
+        for k in range(m):
+            D[i][k] -= f * D[j][k]
+        for k in range(n):
+            U[i][k] -= f * U[j][k]
+
+    def col_sub(i, j, f):  # col_i -= f * col_j
+        for k in range(n):
+            D[k][i] -= f * D[k][j]
+        for k in range(m):
+            V[k][i] -= f * V[k][j]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for k in range(n):
+            D[k][i], D[k][j] = D[k][j], D[k][i]
+        for k in range(m):
+            V[k][i], V[k][j] = V[k][j], V[k][i]
+
+    for t in range(min(n, m)):
+        while True:
+            pivot = min(((abs(D[i][j]), i, j)
+                         for i in range(t, n) for j in range(t, m)
+                         if D[i][j]), default=None)
+            if pivot is None:
+                break
+            _, pi, pj = pivot
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            for i in range(t + 1, n):
+                if D[i][t]:
+                    row_sub(i, t, D[i][t] // D[t][t])
+            for j in range(t + 1, m):
+                if D[t][j]:
+                    col_sub(j, t, D[t][j] // D[t][t])
+            if any(D[i][t] for i in range(t + 1, n)) or \
+                    any(D[t][j] for j in range(t + 1, m)):
+                continue  # remainders became the new, smaller candidates
+            # enforce the divisibility chain
+            bad = next(((i, j) for i in range(t + 1, n)
+                        for j in range(t + 1, m)
+                        if D[i][j] % D[t][t]), None)
+            if bad is None:
+                break
+            row_sub(t, bad[0], -1)  # bring the offending row into play
+        if t < min(n, m) and D[t][t] < 0:
+            for k in range(m):
+                D[t][k] = -D[t][k]
+            for k in range(n):
+                U[t][k] = -U[t][k]
+    return D, U, V
+
+
+def h1_from_smith(D, d: int) -> int:
+    return math.prod(math.gcd(D[i][i], d) for i in range(len(D)))
+
+
+def h1_cardinality(B, d: int) -> int:
+    """|Hom(coker B, Z/d)| = prod gcd(D_ii, d) over all m diagonal slots."""
+    return h1_from_smith(smith_normal_form(B)[0], d)
+
+
+def solve_linear_mod(B, target, d: int):
+    """All solutions c of B c = target (mod d), via the Smith form."""
+    return solve_from_smith(*smith_normal_form(B), target, d)
+
+
+def solve_from_smith(D, U, V, target, d: int):
+    """All solutions c of B c = target (mod d), given U B V = D."""
+    m = len(D)
+    rhs = [sum(U[i][k] * target[k] for k in range(m)) % d for i in range(m)]
+    per_coordinate = []
+    for i in range(m):
+        dii = D[i][i]
+        g = math.gcd(dii, d)
+        if rhs[i] % g:
+            return []
+        if dii % d == 0:
+            # free coordinate (rhs[i] == 0 was just checked since g == d)
+            per_coordinate.append(list(range(d)))
+            continue
+        step = d // g
+        inv = pow((dii // g) % step, -1, step)
+        y0 = (rhs[i] // g) * inv % step
+        per_coordinate.append([(y0 + k * step) % d for k in range(g)])
+    solutions = []
+    for ys in itertools.product(*per_coordinate):
+        c = tuple(sum(V[i][k] * ys[k] for k in range(m)) % d
+                  for i in range(m))
+        solutions.append(c)
+    return sorted(set(solutions))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +262,54 @@ def test_characteristic_validation():
         characteristic_solutions([[1]], 3, "spin")
     with pytest.raises(ScalarError, match="kind"):
         characteristic_solutions([[1]], 2, "bogus")
+
+
+def random_plumbing(rng, max_vertices):
+    """Random plumbing forest: framings in [-3, 3], about a third of the
+    vertices after the first are link vertices, and each vertex after the
+    first is joined to an earlier one with probability 0.7."""
+    n = rng.randint(1, max_vertices)
+    verts = [PlumbingVertex(f"v{i}", rng.randint(-3, 3),
+                            {"lambda": [1]} if i and rng.random() < 0.3
+                            else None)
+             for i in range(n)]
+    edges = [(f"v{rng.randrange(i)}", f"v{i}")
+             for i in range(1, n) if rng.random() < 0.7]
+    return PlumbingGraph(verts, edges)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_forest_solver_matches_smith_oracle(d):
+    # the leaf elimination finds exactly the Smith-form solutions, and
+    # there are |H^1(M; Z/d)| = prod gcd(D_ii, d) of them
+    rng = random.Random(100 + d)
+    coranks = set()
+    for _ in range(80):
+        g = random_plumbing(rng, 10)
+        B, _ = linking_data(g)
+        if len(B) > 8:
+            continue
+        D, U, V = smith_normal_form(B)
+        coranks.add(sum(D[i][i] % d == 0 for i in range(len(B))))
+        for kind in ("coho", "spin") if d % 2 == 0 else ("coho",):
+            target = [(d // 2) * B[i][i] % d if kind == "spin" else 0
+                      for i in range(len(B))]
+            sols = characteristic_solutions(B, d, kind).solutions
+            assert sols == solve_from_smith(D, U, V, target, d), (B, d, kind)
+            assert len(sols) == h1_from_smith(D, d)
+    if d > 1:
+        assert max(coranks) >= 2
+
+
+@pytest.mark.parametrize("B", [
+    [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    [[-2, 1, 0, 1], [1, -2, 1, 0], [0, 1, -2, 1], [1, 0, 1, -2]],
+    [[0, 2], [2, 0]],
+    [[1, 1], [0, 1]],
+], ids=["triangle", "square", "double-edge", "asymmetric"])
+def test_non_forest_linking_matrix_rejected(B):
+    with pytest.raises(ScalarError):
+        characteristic_solutions(B, 2, "coho")
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +434,33 @@ def test_u1_invariant_basics(su22, red22):
     expected = (eta / eta_red) * n_prime
     assert abs(u1_invariant(single_vertex(0), su22, red22) - expected) \
         < 1e-12
+
+
+def explicit_gauss_sum(B, zeta, n_prime, ctx):
+    """Oracle: sum over j in (Z/N')^m of zeta^(jBj), term by term."""
+    m = len(B)
+    total = ctx.zero()
+    for js in itertools.product(range(n_prime), repeat=m):
+        expo = sum(B[i][k] * js[i] * js[k] for i in range(m) for k in range(m))
+        total = total + zeta ** expo
+    return total
+
+
+@pytest.mark.parametrize("NK", [(2, 3), (3, 2), (4, 2), (3, 1), (2, 1)])
+def test_walked_gauss_sum_matches_explicit_sum(NK):
+    su = build_modular_data(*NK, "su")
+    red = build_modular_data(*NK, "reduced")
+    n_prime = su.N // su.grading_modulus
+    zeta = u1_root_of_unity(su, red.beta)
+    rng = random.Random(sum(NK))
+    links = 0
+    for _ in range(12):
+        g = random_plumbing(rng, 7)
+        links += len(g.vertices) - len(g.surgery_vertices)
+        B, _ = linking_data(g)
+        assert _abelian_gauss_sum(g, su, red) == \
+            explicit_gauss_sum(B, zeta, n_prime, su.ctx), (NK, g)
+    assert links > 0
 
 
 TREE5 = {

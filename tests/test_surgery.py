@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod.moddata import build_modular_data
+from heckemod.refine import characteristic_solutions
 from heckemod.scalars import ScalarError
 from heckemod.surgery import (
     PlumbingGraph,
@@ -331,8 +332,8 @@ def test_long_chain_blow_down(su22):
 
 
 class Plumbing:
-    """A mutable plumbing forest for applying Neumann's blow-up and
-    blow-down moves (W. Neumann, Trans. AMS 268, 1981)."""
+    """A mutable plumbing forest for applying Neumann's blow-up, blow-down
+    and 0-chain moves (W. Neumann, Trans. AMS 268, 1981)."""
 
     def __init__(self, g: PlumbingGraph):
         self.framing = {v.id: v.framing for v in g.vertices}
@@ -372,29 +373,68 @@ class Plumbing:
         self.framing[w] += eps
         self.edges += [(u, x), (x, w)]
 
+    def _neighbours(self, vid):
+        return [w if u == vid else u for (u, w) in self.edges
+                if vid in (u, w)]
+
+    def _surgery(self):
+        return [vid for vid in self.framing if self.color[vid] is None]
+
     def blow_down(self, pick):
         """Remove a +-1-framed surgery vertex of degree at most 2: its
         neighbours lose its framing and, if there are two, become joined."""
-        def neighbours(vid):
-            return [w if u == vid else u for (u, w) in self.edges
-                    if vid in (u, w)]
-        candidates = [vid for vid, fr in self.framing.items()
-                      if fr in (1, -1) and self.color[vid] is None
-                      and len(neighbours(vid)) <= 2]
+        candidates = [vid for vid in self._surgery()
+                      if self.framing[vid] in (1, -1)
+                      and len(self._neighbours(vid)) <= 2]
         if not candidates:
             return
         x = candidates[pick % len(candidates)]
         eps = self.framing.pop(x)
         del self.color[x]
-        near = neighbours(x)
+        near = self._neighbours(x)
         self.edges = [e for e in self.edges if x not in e]
         for u in near:
             self.framing[u] -= eps
         if len(near) == 2:
             self.edges.append(tuple(near))
 
+    def absorb_zero(self, pick):
+        """Remove a 0-framed surgery vertex whose two neighbours are surgery
+        vertices: the neighbours merge into one, their framings added."""
+        candidates = [vid for vid in self._surgery()
+                      if self.framing[vid] == 0
+                      and len(near := self._neighbours(vid)) == 2
+                      and all(self.color[u] is None for u in near)]
+        if not candidates:
+            return
+        x = candidates[pick % len(candidates)]
+        u, w = self._neighbours(x)
+        for vid in (x, w):
+            del self.color[vid]
+        del self.framing[x]
+        self.framing[u] += self.framing.pop(w)
+        self.edges = [(u if a == w else a, u if b == w else b)
+                      for (a, b) in self.edges if x not in (a, b)]
 
-_moves = st.lists(st.tuples(st.sampled_from(["vertex", "edge", "down"]),
+    def split_zero(self, pick, eps):
+        """The inverse of ``absorb_zero``: a surgery vertex u of framing f
+        becomes u (framing eps) - x (framing 0) - w (framing f - eps), and
+        w takes every other neighbour of u."""
+        candidates = self._surgery()
+        if not candidates:
+            return
+        u = candidates[pick % len(candidates)]
+        moved = set(self._neighbours(u)[1::2])
+        x = self._new_vertex(0)
+        w = self._new_vertex(self.framing[u] - eps)
+        self.framing[u] = eps
+        self.edges = [(w, b) if a == u and b in moved else
+                      (a, w) if b == u and a in moved else (a, b)
+                      for (a, b) in self.edges] + [(u, x), (x, w)]
+
+
+_moves = st.lists(st.tuples(st.sampled_from(["vertex", "edge", "down",
+                                             "split", "absorb"]),
                             st.integers(0, 50), st.sampled_from([1, -1])),
                   min_size=1, max_size=5)
 
@@ -403,10 +443,15 @@ _moves = st.lists(st.tuples(st.sampled_from(["vertex", "edge", "down"]),
     ("su", (2, 2), [{"lambda": [1]}, {"lambda": [2]}]),
     ("reduced", (3, 3), None)])
 def test_neumann_moves_preserve_tau(theory, NK, colors):
-    # random +-1 blow-ups at vertices and on edges and +-1 blow-downs leave
-    # the invariant exactly unchanged; along the way the forest signature
-    # matches the eigenvalue count
+    # random +-1 blow-ups at vertices and on edges, +-1 blow-downs and
+    # 0-chain splits and absorptions leave the invariant exactly unchanged;
+    # along the way the forest signature matches the eigenvalue count and
+    # |H^1(M; Z/3)|, the number of mod-3 cohomology classes, stays the same
     data = build_modular_data(*NK, theory)
+
+    def h1_order(g):
+        B, _ = linking_data(g)
+        return len(characteristic_solutions(B, 3, "coho").solutions)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), _moves)
@@ -414,18 +459,24 @@ def test_neumann_moves_preserve_tau(theory, NK, colors):
         g = random_forest(random.Random(seed), max_vertices=6,
                           link_colors=colors)
         expected = tau(g, data).value
+        h1 = h1_order(g)
         p = Plumbing(g)
         for kind, pick, eps in moves:
             if kind == "vertex":
                 p.blow_up_vertex(pick, eps)
             elif kind == "edge":
                 p.blow_up_edge(pick, eps)
-            else:
+            elif kind == "down":
                 p.blow_down(pick)
+            elif kind == "split":
+                p.split_zero(pick, eps)
+            else:
+                p.absorb_zero(pick)
             moved = p.graph()
             B, sigma = linking_data(moved)
             assert sigma == eigenvalue_signature(B)
             assert tau(moved, data).value == expected
+            assert h1_order(moved) == h1
 
     check()
 
