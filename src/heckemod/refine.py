@@ -128,6 +128,20 @@ def is_characteristic(B, c, d: int, kind: str) -> bool:
                for i in range(m))
 
 
+def _is_characteristic_on_forest(g: PlumbingGraph, c, d: int,
+                                 kind: str) -> bool:
+    """is_characteristic(B, c, d, kind) for the linking matrix B of g, read
+    from the forest: (Bc)_v = framing_v c_v + the sum of c_u over the
+    surgery neighbours u of v."""
+    surg = g.surgery_vertices
+    index = {v.id: i for i, v in enumerate(surg)}
+    half = d // 2 if kind == "spin" else 0
+    return all(
+        (v.framing * (c[i] - half)
+         + sum(c[index[u]] for u in g.adjacency[v.id] if u in index)) % d == 0
+        for i, v in enumerate(surg))
+
+
 # ---------------------------------------------------------------------------
 # refined invariants
 # ---------------------------------------------------------------------------
@@ -155,7 +169,7 @@ def refined_tau(g: PlumbingGraph, c, data: ModularData,
     if len(c) != m:
         raise ScalarError("structure vector length does not match the "
                           "number of surgery components")
-    if not is_characteristic(B, c, d, kind):
+    if not _is_characteristic_on_forest(g, c, d, kind):
         raise ScalarError("vector does not satisfy the mod d characteristic "
                           "equation of the linking matrix")
     filt = {v.id: c[i] for i, v in enumerate(g.surgery_vertices)}

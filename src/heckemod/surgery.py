@@ -17,12 +17,14 @@ a cross-check oracle for the bracket.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lshift
 
 from .diagrams import ReducedLabel, YoungDiagram
 from .moddata import ModularData
-from .scalars import CycScalar, ExtScalar, ScalarError
+from .scalars import CycScalar, ExtScalar, ScalarError, _canonical, _reduce_phi
 
 __all__ = [
     "PlumbingGraph",
@@ -157,7 +159,8 @@ def parse_plumbing(document: dict) -> PlumbingGraph:
         if color is not None:
             _check_color(rec["id"], color)
         vertices.append(PlumbingVertex(str(rec["id"]), framing,
-                                       color=dict(color) if color else None))
+                                       color=None if color is None
+                                       else dict(color)))
     edges = document.get("edges", [])
     if not isinstance(edges, list):
         raise ScalarError(f"'edges' must be a list, got {edges!r}")
@@ -277,7 +280,9 @@ def _candidate_lists(g: PlumbingGraph, data: ModularData, degree_filter):
 
     Surgery vertices range over all labels permitted by the degree filter
     with weight <c>^(2-deg) theta_c^framing; link vertices carry their one
-    fixed color with weight <c>^(1-deg) theta_c^framing.
+    fixed color with weight <c>^(1-deg) theta_c^framing.  Each weight is
+    read from ``data._weight_table``, keyed (label index, exponent,
+    framing), and computed on its first use.
     """
     d = data.grading_modulus
     surgery_ids = {v.id for v in g.surgery_vertices}
@@ -288,15 +293,14 @@ def _candidate_lists(g: PlumbingGraph, data: ModularData, degree_filter):
         if not 0 <= residue < d:
             raise ScalarError(
                 f"degree filter residue {residue} outside modulus {d}")
-    # each distinct power of a dimension or a twist is taken once
-    dim_powers, twist_powers = {}, {}
+    table = data._weight_table
 
     def weight(i, dim_exp, framing):
-        if (i, dim_exp) not in dim_powers:
-            dim_powers[i, dim_exp] = data.dims[i] ** dim_exp
-        if (i, framing) not in twist_powers:
-            twist_powers[i, framing] = data.twists[i] ** framing
-        return dim_powers[i, dim_exp] * twist_powers[i, framing]
+        key = (i, dim_exp, framing)
+        w = table.get(key)
+        if w is None:
+            w = table[key] = data.dims[i] ** dim_exp * data.twists[i] ** framing
+        return w
 
     cands = {}
     for v in g.vertices:
@@ -329,9 +333,24 @@ def _eliminate(g: PlumbingGraph, weights: dict, matrix, ctx) -> CycScalar:
     The preorder is read backwards, so each vertex folds into its parent
     after all of its children have folded into it.  ``weights`` is
     consumed: weights[v][c] becomes the total weight of the eliminated part
-    of v's subtree when v has label c.
+    of v's subtree when v has label c, divided by the contents below.
+
+    A vertex first divides its weights by their common rational content
+    (the gcd of all numerators over the lcm of the denominators); the
+    contents multiply into one exact scale, applied once to the result.
+    Its message to the parent label j, sum_i w_i * matrix[i][j], is then a
+    sum of shifted packed integers: each weight's numerators pack into one
+    integer at a width b (its polynomial at 2^b), and each nonzero term
+    s x^t of matrix[i][j] adds s times that integer shifted by t*b.  A
+    coefficient of the sum is at most (labels) * (most terms of an entry) *
+    max|s| * max|w| in absolute value, so b is that bound's bit length
+    plus a sign bit.  The sum is unpacked, reduced modulo Phi_M and put
+    over column j's denominator once per parent label.
     """
+    deg = ctx.degree
     total = ctx.one()
+    scale_num = scale_den = 1
+    columns = None
     for vid, parent in reversed(g.preorder):
         own = weights.pop(vid)
         if parent is None:
@@ -340,14 +359,74 @@ def _eliminate(g: PlumbingGraph, weights: dict, matrix, ctx) -> CycScalar:
                 tree_sum = tree_sum + w
             total = total * tree_sum
             continue
+        if columns is None:
+            columns, rows, term_bound = _sparse_columns(matrix, deg)
+        den = math.lcm(*(w.den for w in own.values()))
+        vecs = [w.nums if w.den == den
+                else [x * (den // w.den) for x in w.nums]
+                for w in own.values()]
+        content = 0
+        for v in vecs:
+            content = math.gcd(content, *v)
+        if not content:
+            return ctx.zero()  # every weight, so every message, is zero
+        scale_num *= content
+        scale_den *= den
+        if content != 1:
+            vecs = [[x // content for x in v] for v in vecs]
+        largest = max(max(map(max, vecs)), -min(map(min, vecs)))
+        width = (len(vecs) * term_bound * largest).bit_length() + 1
+        shifts = range(0, deg * width, width)
+        # shifted[i * deg + t] = packed w_i << t * width; rows without a
+        # weight stay 0
+        shifted = [0] * (rows * deg)
+        for i, v in zip(own, vecs):
+            p = sum(map(lshift, v, shifts))
+            shifted[i * deg:(i + 1) * deg] = [p << t for t in shifts]
+        get = shifted.__getitem__
+        # each coefficient of a message before reduction is a signed field
+        # of the sum; adding half to every field makes it a nonnegative digit
+        fields = range(0, (2 * deg - 1) * width, width)
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        bias = sum(half << t for t in fields)
         up = weights[parent]
-        # message to the parent label j: sum_i w_i * matrix[i][j]
         for j in up:
-            acc = ctx.zero()
-            for i, w in own.items():
-                acc = acc + w * matrix[i][j]
-            up[j] = up[j] * acc
-    return total
+            col_den, by_coeff = columns[j]
+            acc = bias
+            for s, places in by_coeff:
+                acc += s * sum(map(get, places))
+            prod = [(acc >> t & mask) - half for t in fields]
+            up[j] = up[j] * _canonical(ctx, _reduce_phi(ctx, prod), col_den)
+    return total * Fraction(scale_num, scale_den)
+
+
+def _sparse_columns(matrix, deg: int):
+    """The nonzero terms s x^t of ``matrix`` column by column.
+
+    Column j becomes (D_j, [(s, places)]), D_j the lcm of the column's
+    denominators and ``places`` the positions i * deg + t of the terms of
+    coefficient s among the entries D_j * matrix[i][j].  Also returns the
+    number of rows and the most terms of an entry times the largest |s|.
+    """
+    rows = len(matrix)
+    most_terms = max_coeff = 0
+    columns = []
+    for column in zip(*matrix):
+        col_den = math.lcm(*(x.den for x in column))
+        by_coeff = {}
+        for base, x in zip(range(0, rows * deg, deg), column):
+            nums = x.nums if x.den == col_den else \
+                [c * (col_den // x.den) for c in x.nums]
+            terms = 0
+            for t, s in enumerate(nums):
+                if s:
+                    terms += 1
+                    by_coeff.setdefault(s, []).append(base + t)
+            most_terms = max(most_terms, terms)
+        max_coeff = max(max_coeff, *map(abs, by_coeff), 0)
+        columns.append((col_den, list(by_coeff.items())))
+    return columns, rows, most_terms * max_coeff
 
 
 def colored_bracket_direct(g: PlumbingGraph, data: ModularData,

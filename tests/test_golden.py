@@ -7,8 +7,10 @@ vectors to integer vectors, the ``verify`` and ``hecke-check`` values before
 the signature moved to leaf elimination over the forest, and the
 ``modular-data 4 4`` and ``verify 3 4`` values, where the packing width is
 largest, before the modularity check and fusion moved to packed integer dot
-products, and the 300-vertex chain values before the characteristic
-structures moved to leaf elimination over the forest, so any change to
+products, the 300-vertex chain values before the characteristic
+structures moved to leaf elimination over the forest, and the 200-vertex
+tree values before the elimination's messages moved to content-free packed
+integers, so any change to
 exact values, to the canonical ``num``/``den`` form, to a gate result or to
 the printed approximations shows here.
 """
@@ -46,6 +48,11 @@ COMMANDS = (
         "reduced", "--refined", "coho", "--all-structures"],
        ["invariant", "--manifold", "@chain300", "2", "6", "--theory",
         "reduced", "--refined", "spin", "--all-structures"]]
+    + [["invariant", "--manifold", "@tree200su", "3", "3", "--theory", "su"],
+       ["invariant", "--manifold", "@tree200red33", "3", "3", "--theory",
+        "reduced", "--refined", "coho", "--all-structures"],
+       ["invariant", "--manifold", "@tree200red26", "2", "6", "--theory",
+        "reduced", "--refined", "spin", "--all-structures"]]
 )
 
 
@@ -67,7 +74,54 @@ def long_chain(length: int, seed: int) -> dict:
             "edges": [[f"v{i}", f"v{i + 1}"] for i in range(length - 1)]}
 
 
-GENERATED = {"chain300": lambda: long_chain(300, 2026)}
+def random_tree(size: int, seed: int, colors) -> dict:
+    """Plumbing document of a random tree drawn from a fixed seed.
+
+    Vertex i > 0 joins an earlier vertex, one time in three among the first
+    quarter of them, so several vertices have degree 3 or more (negative
+    powers of the quantum dimension).  Four vertices other than v0 are link
+    vertices carrying ``colors`` in turn.  Framings in [-3, 3] are drawn
+    from the leaves up so that the value leaf elimination leaves on each
+    surgery vertex is a unit mod 6, except on v0, where it is 0 mod 6: the
+    linking matrix then has corank exactly 1 mod 2 and mod 3, and both
+    refinements have more than one structure.
+    """
+    rng = random.Random(seed)
+    parent = [None] + [rng.randrange(max(1, i // 4)) if rng.random() < 1 / 3
+                       else rng.randrange(i) for i in range(1, size)]
+    links = set(rng.sample(range(1, size), 4))
+    framings = [rng.randint(-3, 3) for _ in range(size)]
+    # a unit x mod 6 is its own inverse, so eliminating it subtracts x
+    value = [0] * size
+    for i in range(size - 1, -1, -1):
+        if i in links:
+            continue
+        want = (0,) if i == 0 else (1, 5)
+        framings[i] = rng.choice([b for b in range(-3, 4)
+                                  if (b + value[i]) % 6 in want])
+        value[i] = (framings[i] + value[i]) % 6
+        p = parent[i]
+        if p is not None and p not in links:
+            value[p] -= value[i]
+    vertices = [{"id": f"v{i}", "framing": b} for i, b in enumerate(framings)]
+    for k, i in enumerate(sorted(links)):
+        vertices[i]["link"] = colors[k % len(colors)]
+    return {"vertices": vertices,
+            "edges": [[f"v{p}", f"v{i}"] for i, p in enumerate(parent) if i]}
+
+
+# link colours of degree 0 mod gcd(N, K), so the refined values still sum
+# to the invariant
+GENERATED = {
+    "chain300": lambda: long_chain(300, 2026),
+    "tree200su": lambda: random_tree(200, 2026, [
+        {"lambda": [1]}, {"lambda": [2, 1]}, {"lambda": [3, 1]},
+        {"lambda": [2, 2]}]),
+    "tree200red33": lambda: random_tree(200, 2026, [
+        {"i": 0, "lambda": [2, 1]}, {"i": 1}]),
+    "tree200red26": lambda: random_tree(200, 2026, [
+        {"i": 0, "lambda": [2]}, {"i": 0, "lambda": [4]}]),
+}
 
 
 def command_key(argv) -> str:

@@ -10,6 +10,7 @@ import pytest
 from heckemod.moddata import build_modular_data
 from heckemod.refine import (
     _abelian_gauss_sum,
+    _is_characteristic_on_forest,
     blowdown_transform,
     blowup_transform,
     characteristic_solutions,
@@ -299,6 +300,25 @@ def test_forest_solver_matches_smith_oracle(d):
             assert len(sols) == h1_from_smith(D, d)
     if d > 1:
         assert max(coranks) >= 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_forest_check_matches_dense_definition(d):
+    # refined_tau's check reads the forest; is_characteristic multiplies
+    # the dense rows of B.  Both must agree on solutions and on other vectors
+    rng = random.Random(200 + d)
+    verdicts = set()
+    for _ in range(60):
+        g = random_plumbing(rng, 10)
+        B, _ = linking_data(g)
+        for kind in ("coho", "spin") if d % 2 == 0 else ("coho",):
+            sols = characteristic_solutions(B, d, kind).solutions
+            others = [[rng.randrange(d) for _ in B] for _ in range(4)]
+            for c in rng.sample(sols, min(3, len(sols))) + others:
+                dense = is_characteristic(B, c, d, kind)
+                assert _is_characteristic_on_forest(g, c, d, kind) == dense
+                verdicts.add(dense)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("B", [

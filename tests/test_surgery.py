@@ -1,5 +1,9 @@
+import functools
+import gc
 import itertools
 import random
+import weakref
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,6 +16,8 @@ from heckemod.scalars import ScalarError
 from heckemod.surgery import (
     PlumbingGraph,
     PlumbingVertex,
+    _candidate_lists,
+    _eliminate,
     chain,
     colored_bracket,
     colored_bracket_direct,
@@ -103,6 +109,17 @@ def test_unknown_color_is_named(su22):
                         "edges": []})
     with pytest.raises(ScalarError, match=r"\[5\]"):
         colored_bracket(g, su22)
+
+
+def test_empty_link_color_is_a_link_vertex(su33):
+    # an empty colour object is the trivial colour, not a missing one
+    graphs = [parse_plumbing({
+        "vertices": [{"id": "a", "framing": -1},
+                     {"id": "w", "framing": 2, "link": color}],
+        "edges": [["a", "w"]]}) for color in ({}, {"lambda": []})]
+    assert all(g.vertices[1].is_link for g in graphs)
+    assert all(len(g.surgery_vertices) == 1 for g in graphs)
+    assert colored_bracket(graphs[0], su33) == colored_bracket(graphs[1], su33)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +260,184 @@ def test_filter_validation(red22):
         colored_bracket(single_vertex(0), red22, {"v0": 5})
     with pytest.raises(ScalarError, match="non-surgery"):
         colored_bracket(single_vertex(0), red22, {"nope": 0})
+
+
+# ---------------------------------------------------------------------------
+# the packed leaf elimination against the plain one
+# ---------------------------------------------------------------------------
+
+def eliminate_plain(g, weights, matrix, ctx):
+    """Oracle: the leaf elimination with every message to a parent label j,
+    sum_i w_i * matrix[i][j], summed as plain scalar products."""
+    total = ctx.one()
+    for vid, parent in reversed(g.preorder):
+        own = weights.pop(vid)
+        if parent is None:
+            tree_sum = ctx.zero()
+            for w in own.values():
+                tree_sum = tree_sum + w
+            total = total * tree_sum
+            continue
+        up = weights[parent]
+        for j in up:
+            acc = ctx.zero()
+            for i, w in own.items():
+                acc = acc + w * matrix[i][j]
+            up[j] = up[j] * acc
+    return total
+
+
+def both_eliminations(g, weights, matrix, ctx):
+    """(packed, plain) values on copies of the same weights."""
+    def fresh():
+        return {vid: dict(options) for vid, options in weights.items()}
+    return (_eliminate(g, fresh(), matrix, ctx),
+            eliminate_plain(g, fresh(), matrix, ctx))
+
+
+@st.composite
+def forest_shapes(draw, max_vertices=8):
+    """(framings, parents, link flags) of a random forest: parent None
+    starts a new tree, vertex 0 always does."""
+    n = draw(st.integers(1, max_vertices))
+    parents = [None] + [draw(st.one_of(st.none(), st.integers(0, i - 1)))
+                        for i in range(1, n)]
+    framings = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    links = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return framings, parents, links
+
+
+def shape_graph(shape, link_colors):
+    framings, parents, links = shape
+    verts = [PlumbingVertex(f"v{i}", f, link_colors[i % len(link_colors)]
+                            if link and link_colors else None)
+             for i, (f, link) in enumerate(zip(framings, links))]
+    edges = [(f"v{p}", f"v{i}") for i, p in enumerate(parents)
+             if p is not None]
+    return PlumbingGraph(verts, edges)
+
+
+@functools.lru_cache(maxsize=None)
+def modular(N, K, theory):
+    return build_modular_data(N, K, theory)
+
+
+@pytest.mark.parametrize("NK,theory,colors", [
+    ((3, 3), "su", [{"lambda": [1]}, {"lambda": [2, 1]}]),
+    ((3, 3), "reduced", [{"i": 1}, {"i": 0, "lambda": [1]}]),
+    ((2, 6), "reduced", [{"i": 0, "lambda": [3]}])])
+def test_packed_bracket_matches_plain_messages(NK, theory, colors):
+    data = modular(*NK, theory)
+    d = data.grading_modulus
+
+    @settings(max_examples=40, deadline=None)
+    @given(forest_shapes(), st.lists(st.integers(0, d - 1), max_size=8),
+           st.booleans())
+    def check(shape, residues, filtered):
+        g = shape_graph(shape, colors)
+        filt = {v.id: r for v, r in zip(g.surgery_vertices, residues)} \
+            if filtered and theory == "reduced" else None
+        weights = {vid: dict(options) for vid, options in
+                   _candidate_lists(g, data, filt).items()}
+        packed, plain = both_eliminations(g, weights, data.s_matrix,
+                                          data.ctx)
+        assert packed == plain
+        assert packed == colored_bracket(g, data, filt)
+
+    check()
+
+
+def random_scalar(rng, ctx, zero_share=0.2):
+    """A scalar with mixed-sign Fraction coefficients over several
+    denominators, or zero."""
+    if rng.random() < zero_share:
+        return ctx.zero()
+    return ctx.from_coeffs([Fraction(rng.randint(-40, 40) * rng.choice(
+        [1, 1, 6, 2 ** 40]), rng.choice([1, 2, 3, 5, 12, 7 ** 9]))
+        if rng.random() < 0.6 else 0 for _ in range(ctx.degree)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(forest_shapes(), st.integers(0, 2 ** 32), st.sampled_from(
+    ["varied", "all-zero vertex", "empty vertex", "common content"]))
+def test_packed_elimination_matches_plain_on_synthetic_matrix(
+        shape, seed, case):
+    # denominators != 1 and mixed signs in both the matrix and the weights,
+    # a vertex whose weights are all zero or that has no labels at all,
+    # and weights sharing a large rational content
+    ctx = modular(2, 2, "su").ctx
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    matrix = [[random_scalar(rng, ctx) for _ in range(n)] for _ in range(n)]
+    g = shape_graph(shape, None)
+    content = ctx.from_rational(Fraction(rng.randint(1, 2 ** 60),
+                                         rng.randint(1, 2 ** 30)))
+    weights = {}
+    for v in g.vertices:
+        labels = rng.sample(range(n), rng.randint(1, n))
+        weights[v.id] = {i: random_scalar(rng, ctx, 0.1) for i in labels}
+        if case == "common content":
+            weights[v.id] = {i: w * content for i, w in weights[v.id].items()}
+    victim = g.vertices[rng.randrange(len(g.vertices))].id
+    if case == "all-zero vertex":
+        weights[victim] = {i: ctx.zero() for i in weights[victim]}
+    elif case == "empty vertex":
+        weights[victim] = {}
+    packed, plain = both_eliminations(g, weights, matrix, ctx)
+    assert packed == plain
+    if case in ("all-zero vertex", "empty vertex"):
+        assert packed.is_zero()
+
+
+@pytest.mark.parametrize("NK,terms", [((2, 2), 1), ((2, 2), 3),
+                                      ((3, 3), 5), ((2, 6), 11)])
+@pytest.mark.parametrize("coeff", [1, 3, -2])
+def test_packed_elimination_at_the_width_bound(NK, terms, coeff):
+    # every entry is coeff * (1 + x + ... + x^(terms-1)) and every content-
+    # free weight (3, ..., 3, 2), so a coefficient of each unreduced message
+    # is (labels) * terms * 3 * |coeff| in absolute value: exactly the
+    # bound the packing width is taken from
+    ctx = modular(*NK, "su").ctx
+    deg = ctx.degree
+    assert terms < deg
+    n = 3
+    entry = ctx.from_coeffs([coeff] * terms)
+    matrix = [[entry] * n for _ in range(n)]
+    weight = ctx.from_coeffs([3] * (deg - 1) + [2])
+    for g in (chain([0, 0, 0]), PlumbingGraph(
+            [PlumbingVertex(f"v{i}", 0) for i in range(4)],
+            [("v0", "v1"), ("v0", "v2"), ("v0", "v3")])):
+        weights = {v.id: {i: weight for i in range(n)} for v in g.vertices}
+        packed, plain = both_eliminations(g, weights, matrix, ctx)
+        assert packed == plain
+
+
+def seeded_chain(length, seed):
+    rng = random.Random(seed)
+    return chain([rng.randint(-3, 3) for _ in range(length)])
+
+
+@pytest.mark.parametrize("NK,theory", [((3, 3), "su"), ((2, 6), "reduced")])
+@pytest.mark.parametrize("length", [300, 1000])
+def test_long_chain_matches_plain_messages(NK, theory, length):
+    data = modular(*NK, theory)
+    g = seeded_chain(length, 2026)
+    weights = {vid: dict(options) for vid, options in
+               _candidate_lists(g, data, None).items()}
+    packed, plain = both_eliminations(g, weights, data.s_matrix, data.ctx)
+    assert packed == plain == colored_bracket(g, data)
+    assert not packed.is_zero()
+
+
+def test_weight_table_dies_with_its_data():
+    data = build_modular_data(2, 3, "su")
+    tau(chain([-2, 3, 1]), data)
+    assert data._weight_table
+    assert all(w.ring is data.ctx for w in data._weight_table.values())
+    ref = weakref.ref(data.ctx)
+    del data
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
