@@ -19,6 +19,7 @@ from importlib import resources
 
 from .diagrams import quantum_dimension
 from .hecke import (
+    MAX_STRANDS,
     HeckeElement,
     homfly_braid_closure,
     path_idempotent,
@@ -259,8 +260,8 @@ def cmd_homfly(args) -> int:
         word = [int(x) for x in args.braid.split(",")] if args.braid else []
     except ValueError:
         raise UsageError("braid word must be comma-separated signed integers")
-    if args.strands < 1:
-        raise UsageError("--strands must be at least 1")
+    if not 1 <= args.strands <= MAX_STRANDS:
+        raise UsageError(f"--strands must be between 1 and {MAX_STRANDS}")
     if any(abs(x) < 1 or abs(x) >= args.strands for x in word):
         raise UsageError("braid letters must satisfy 1 <= |i| < strands")
     ctx = su_parameters(args.N, args.K)

@@ -45,6 +45,76 @@ def reduced_word(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _quadratic(ring: RingContext, sign: int) -> tuple[CycScalar, CycScalar]:
+    """(mid, sq) with g^2 = mid g + sq for g = sigma_i^sign.
+
+    sigma^2 = a(s - s^-1) sigma + a^2, and multiplying it by a^-2 sigma^-2
+    gives sigma^-2 = -a^-1 (s - s^-1) sigma^-1 + a^-2.
+    """
+    z = ring.s() - ring.s(-1)
+    if sign > 0:
+        return ring.a() * z, ring.a(2)
+    return -(ring.a(-1) * z), ring.a(-2)
+
+
+def _accumulate(terms: dict, p: tuple[int, ...], c: CycScalar) -> None:
+    """terms[p] += c, dropping a coefficient that cancels to zero."""
+    if p in terms:
+        c = terms[p] + c
+        if c.is_zero():
+            del terms[p]
+            return
+    terms[p] = c
+
+
+def _step(terms: dict, i: int, sign: int, mid: CycScalar,
+          sq: CycScalar) -> dict:
+    """The term dict of (sum c w_p) sigma_i^sign, with (mid, sq) from
+    ``_quadratic(ring, sign)``.
+
+    Let q = p s_i (the values i and i+1 swapped).  Where the lengths add
+    (i comes before i+1 in p), w_p sigma_i = w_q; otherwise w_p = w_q sigma_i
+    and the quadratic relation gives mid w_p + sq w_q.  For sigma_i^-1 the
+    two cases trade places: w_p sigma_i^-1 = w_q when w_p = w_q sigma_i.
+    """
+    out: dict = {}
+    for p, c in terms.items():
+        lo, hi = p.index(i), p.index(i + 1)
+        q = list(p)
+        q[lo], q[hi] = i + 1, i
+        q = tuple(q)
+        if (lo < hi) == (sign > 0):
+            _accumulate(out, q, c)
+        else:
+            _accumulate(out, p, c * mid)
+            _accumulate(out, q, c * sq)
+    return out
+
+
+def _product(x: dict, y: dict, mid: CycScalar, sq: CycScalar,
+             out: dict) -> None:
+    """Add the term dict of x * y into ``out``; (mid, sq) = _quadratic(ring, 1).
+
+    x w_q = x sigma_{i1} ... sigma_{ik} for the reduced word of q, so the
+    words of y's support are walked as a prefix tree, depth first in
+    lexicographic order: each node costs one generator step on its parent's
+    product, and c_q scales the product at q's node.
+    """
+    word: list[int] = []
+    prefix = [x]  # prefix[k] = x times the first k letters of word
+    for w, c in sorted(((reduced_word(q), c) for q, c in y.items()),
+                       key=lambda wc: wc[0]):
+        k = 0
+        while k < len(word) and k < len(w) and word[k] == w[k]:
+            k += 1
+        del word[k:], prefix[k + 1:]
+        for i in w[k:]:
+            prefix.append(_step(prefix[-1], i, 1, mid, sq))
+            word.append(i)
+        for p, a in prefix[-1].items():
+            _accumulate(out, p, a * c)
+
+
 class HeckeElement:
     """Sparse linear combination of positive permutation braids in H_n."""
 
@@ -90,10 +160,11 @@ class HeckeElement:
         return HeckeElement(self.n, self.ring, terms)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-1) * other
+        return self + (-other)
 
     def __neg__(self) -> "HeckeElement":
-        return (-1) * self
+        return HeckeElement(self.n, self.ring,
+                            {p: -c for p, c in self.terms.items()})
 
     def scale(self, c) -> "HeckeElement":
         if isinstance(c, int):
@@ -112,59 +183,21 @@ class HeckeElement:
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return self.n == other.n and (self - other).is_zero()
+        # the term dicts are zero-free and their coefficients canonical
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):  # pragma: no cover
         return hash((self.n, frozenset(self.terms.items())))
 
     # -- multiplication ---------------------------------------------------------
 
-    def _times_generator(self, i: int) -> "HeckeElement":
-        """Right multiplication by sigma_i."""
-        ring = self.ring
-        coef_mid = ring.a() * (ring.s() - ring.s(-1))
-        coef_sq = ring.a(2)
-        terms: dict = {}
-
-        def add(p, c):
-            if p in terms:
-                terms[p] = terms[p] + c
-            else:
-                terms[p] = c
-
-        for p, c in self.terms.items():
-            # swap the values i and i+1 in the one-line notation
-            q = tuple(i + 1 if x == i else i if x == i + 1 else x for x in p)
-            if p.index(i) < p.index(i + 1):
-                # lengths add
-                add(q, c)
-            else:
-                add(p, c * coef_mid)
-                add(q, c * coef_sq)
-        return HeckeElement(self.n, ring, terms)
-
-    def _times_generator_inverse(self, i: int) -> "HeckeElement":
-        # sigma_i^-1 = a^-2 sigma_i - a^-1 (s - s^-1) 1
-        ring = self.ring
-        out = self._times_generator(i).scale(ring.a(-2))
-        return out - self.scale(ring.a(-1) * (ring.s() - ring.s(-1)))
-
     def __mul__(self, other):
         if isinstance(other, (int, CycScalar)):
             return self.scale(other)
         self._check(other)
-        result_terms: dict = {}
-        ring = self.ring
-        for q, cq in other.terms.items():
-            acc = self.scale(cq)
-            for i in reduced_word(q):
-                acc = acc._times_generator(i)
-            for p, c in acc.terms.items():
-                if p in result_terms:
-                    result_terms[p] = result_terms[p] + c
-                else:
-                    result_terms[p] = c
-        return HeckeElement(self.n, ring, result_terms)
+        terms: dict = {}
+        _product(self.terms, other.terms, *_quadratic(self.ring, 1), terms)
+        return HeckeElement(self.n, self.ring, terms)
 
     # -- tensor embeddings ---------------------------------------------------
 
@@ -190,26 +223,31 @@ class HeckeElement:
         On a basis braid: if the last strand is straight, a disjoint circle
         peels off with factor delta; otherwise w_pi factors with additive
         lengths as u * sigma_{n-2} * w_pi' with u, pi' in the subalgebra, and
-        the Markov property gives a v^-1 * u * w_pi'.
+        the Markov property gives a v^-1 * u * w_pi'.  The terms that share
+        u close as one product, u times the sum of their c * w_pi'.
         """
         ring = self.ring
         n = self.n
         if n == 0:
             raise ScalarError("nothing to close")
         delta = ring.quantum_integer(ring.N)
-        curl = ring.a() * ring.v(-1)
-        out = HeckeElement(n - 1, ring, {})
+        out: dict = {}
+        # k -> the terms whose strand ending last starts at k, as w_pi'
+        through: dict[int, dict] = {}
         for p, c in self.terms.items():
             if p[n - 1] == n - 1:
-                out = out + (c * delta) * HeckeElement.basis(p[: n - 1], ring)
-                continue
-            k = p.index(n - 1)
+                _accumulate(out, p[: n - 1], c * delta)
+            else:
+                k = p.index(n - 1)
+                rest = tuple(x for x in p if x != n - 1)
+                through.setdefault(k, {})[rest] = c
+        curl = ring.a() * ring.v(-1)
+        mid, sq = _quadratic(ring, 1)
+        for k, rest in through.items():
             # u = s_k s_{k+1} ... s_{n-3} in S_{n-1}
             u = tuple(list(range(k)) + [n - 2] + list(range(k, n - 2)))
-            rest = tuple(x for x in p if x != n - 1)
-            prod = HeckeElement.basis(u, ring) * HeckeElement.basis(rest, ring)
-            out = out + (c * curl) * prod
-        return out
+            _product({u: curl}, rest, mid, sq, out)
+        return HeckeElement(n - 1, ring, out)
 
     def markov_trace(self) -> CycScalar:
         """Homflypt value of the closure of this element in the 3-sphere,
@@ -229,13 +267,15 @@ class HeckeElement:
 
 def braid_word_to_element(word, n: int, ring: RingContext) -> HeckeElement:
     """Evaluate a braid word (1-indexed signed generator indices) in H_n."""
-    x = HeckeElement.identity(n, ring)
+    terms = HeckeElement.identity(n, ring).terms
+    relations = {1: _quadratic(ring, 1), -1: _quadratic(ring, -1)}
     for w in word:
         i = abs(w) - 1
         if not 0 <= i <= n - 2:
             raise ScalarError(f"generator {w} out of range for {n} strands")
-        x = x._times_generator(i) if w > 0 else x._times_generator_inverse(i)
-    return x
+        sign = 1 if w > 0 else -1
+        terms = _step(terms, i, sign, *relations[sign])
+    return HeckeElement(n, ring, terms)
 
 
 def homfly_braid_closure(word, n: int, ring: RingContext) -> CycScalar:

@@ -148,9 +148,10 @@ class ModularData:
     report: dict
     alpha: int | None = None
     beta: int | None = None
-    # conj(S), the same packed for dot products, omega^-1 / <k> for fusion
-    # and the surgery weights <c>^e theta_c^f by (label index, e, f); all
-    # live as long as this data
+    # conj(S), the same packed for dot products, omega^-1 / <k> for fusion,
+    # the surgery weights <c>^e theta_c^f by (label index, e, f) and the
+    # sparse term table of S read by the leaf elimination; all live as long
+    # as this data
     s_conj: list = field(init=False, repr=False, compare=False)
     _s_conj_packed: _PackedRows = field(
         init=False, repr=False, compare=False)
@@ -158,6 +159,8 @@ class ModularData:
         default=None, init=False, repr=False, compare=False)
     _weight_table: dict = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _s_terms: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.s_conj = [[x.conjugate() for x in row] for row in self.s_matrix]

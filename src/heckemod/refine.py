@@ -22,7 +22,8 @@ import mpmath
 from .moddata import ModularData, build_modular_data
 from .scalars import MIN_PRECISION, CycScalar, ExtScalar, ScalarError
 from .surgery import (PlumbingGraph, PlumbingVertex, _eliminate,
-                      _normalized, colored_bracket, linking_data, tau)
+                      _normalized, _signature, _sparse_columns,
+                      colored_bracket, tau)
 
 __all__ = [
     "SpinStructureSet",
@@ -162,8 +163,7 @@ def refined_tau(g: PlumbingGraph, c, data: ModularData,
         raise ScalarError(
             f"structure kind {kind!r} is unavailable at ({data.N}, {data.K}): "
             f"this rank-level carries {expected!r} structures")
-    B, sigma = linking_data(g)
-    m = len(B)
+    m, sigma = _signature(g)
     d = data.grading_modulus
     c = [int(x) % d for x in c]
     if len(c) != m:
@@ -249,15 +249,14 @@ def _abelian_gauss_sum(g: PlumbingGraph, su_data: ModularData,
                for v in g.vertices}
     table = [[zeta ** (2 * i * j) for j in range(n_prime)]
              for i in range(n_prime)]
-    return _eliminate(g, weights, table, ctx)
+    return _eliminate(g, weights, _sparse_columns(table, ctx.degree), ctx)
 
 
 def u1_invariant(g: PlumbingGraph, su_data: ModularData,
                  red_data: ModularData):
     """(Delta/delta)^(-sigma) (eta/eta~)^m sum_{j in (Z/N')^m} zeta^(jBj),
     with B the linking matrix of g, evaluated in the complex embedding."""
-    B, sigma = linking_data(g)
-    m = len(B)
+    m, sigma = _signature(g)
     gauss = _abelian_gauss_sum(g, su_data, red_data)
     with mpmath.workdps(MIN_PRECISION + 15):
         big_delta = ExtScalar(su_data.delta_plus, 1, "su",

@@ -223,14 +223,7 @@ def disjoint_union(g1: PlumbingGraph, g2: PlumbingGraph) -> PlumbingGraph:
 
 def linking_data(g: PlumbingGraph):
     """Linking matrix over the surgery vertices (input order) and its
-    signature, computed by leaf elimination over the forest.
-
-    The preorder is read backwards, so each surgery vertex is reached with
-    the value its eliminated children left on its diagonal.  A nonzero value
-    adds its sign and subtracts its reciprocal from the parent; a zero value
-    spans a hyperbolic pair with the parent, which adds nothing and cuts the
-    parent from the rest of the forest.  Link vertices start cut.
-    """
+    signature (see ``_signature``)."""
     surg = g.surgery_vertices
     idx = {v.id: i for i, v in enumerate(surg)}
     n = len(surg)
@@ -241,8 +234,22 @@ def linking_data(g: PlumbingGraph):
         if u in idx and w in idx:
             B[idx[u]][idx[w]] += 1
             B[idx[w]][idx[u]] += 1
+    return B, _signature(g)[1]
+
+
+def _signature(g: PlumbingGraph) -> tuple[int, int]:
+    """(m, sigma): the number of surgery vertices and the signature of
+    their linking matrix, computed by leaf elimination over the forest.
+
+    The preorder is read backwards, so each surgery vertex is reached with
+    the value its eliminated children left on its diagonal.  A nonzero value
+    adds its sign and subtracts its reciprocal from the parent; a zero value
+    spans a hyperbolic pair with the parent, which adds nothing and cuts the
+    parent from the rest of the forest.  Link vertices start cut.
+    """
     # value of each surgery vertex that is neither eliminated nor cut
-    value = {v.id: Fraction(v.framing) for v in surg}
+    value = {v.id: Fraction(v.framing) for v in g.vertices if not v.is_link}
+    m = len(value)
     sigma = 0
     for vid, parent in reversed(g.preorder):
         x = value.pop(vid, None)
@@ -254,7 +261,7 @@ def linking_data(g: PlumbingGraph):
                 value[parent] -= 1 / x
         elif parent in value:
             del value[parent]
-    return B, sigma
+    return m, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +329,17 @@ def colored_bracket(g: PlumbingGraph, data: ModularData,
     """<L(Omega, ..., Omega)> by leaf elimination over the forest."""
     weights = {vid: dict(options) for vid, options in
                _candidate_lists(g, data, degree_filter).items()}
-    return _eliminate(g, weights, data.s_matrix, data.ctx)
+    if data._s_terms is None:
+        data._s_terms = _sparse_columns(data.s_matrix, data.ctx.degree)
+    return _eliminate(g, weights, data._s_terms, data.ctx)
 
 
-def _eliminate(g: PlumbingGraph, weights: dict, matrix, ctx) -> CycScalar:
+def _eliminate(g: PlumbingGraph, weights: dict, matrix_terms,
+               ctx) -> CycScalar:
     """Sum over the labelings of the vertices, each vertex v taking a label
     in weights[v], of the product of the vertex weights and of
-    matrix[i][j] over every edge with end labels i and j.
+    matrix[i][j] over every edge with end labels i and j, where
+    ``matrix_terms`` is ``_sparse_columns(matrix, ctx.degree)``.
 
     The preorder is read backwards, so each vertex folds into its parent
     after all of its children have folded into it.  ``weights`` is
@@ -350,7 +361,7 @@ def _eliminate(g: PlumbingGraph, weights: dict, matrix, ctx) -> CycScalar:
     deg = ctx.degree
     total = ctx.one()
     scale_num = scale_den = 1
-    columns = None
+    columns, rows, term_bound = matrix_terms
     for vid, parent in reversed(g.preorder):
         own = weights.pop(vid)
         if parent is None:
@@ -359,8 +370,6 @@ def _eliminate(g: PlumbingGraph, weights: dict, matrix, ctx) -> CycScalar:
                 tree_sum = tree_sum + w
             total = total * tree_sum
             continue
-        if columns is None:
-            columns, rows, term_bound = _sparse_columns(matrix, deg)
         den = math.lcm(*(w.den for w in own.values()))
         vecs = [w.nums if w.den == den
                 else [x * (den // w.den) for x in w.nums]

@@ -8,7 +8,7 @@ from heckemod.cli import (
     main,
     manifest_graph,
 )
-from heckemod.hecke import homfly_braid_closure
+from heckemod.hecke import MAX_STRANDS, homfly_braid_closure
 from heckemod.moddata import build_modular_data
 from heckemod.scalars import scalar_from_json, su_parameters
 from heckemod.surgery import parse_plumbing, plumbing_to_json, tau
@@ -154,6 +154,8 @@ def test_usage_errors(capsys):
     # no strands at all, not the value 1 of an empty closure
     assert main(["homfly", "2", "3", "--strands", "0"]) == 1
     assert main(["homfly", "2", "3", "--strands", "-3"]) == 1
+    # above the strand cap: a usage error, not a computation error
+    assert main(["homfly", "2", "3", "--strands", str(MAX_STRANDS + 1)]) == 1
     assert capsys.readouterr().out == ""
 
 

@@ -10,7 +10,9 @@ largest, before the modularity check and fusion moved to packed integer dot
 products, the 300-vertex chain values before the characteristic
 structures moved to leaf elimination over the forest, and the 200-vertex
 tree values before the elimination's messages moved to content-free packed
-integers, so any change to
+integers, and the Hecke values (``hecke-check 2 5``, a mixed-sign 5-strand
+closure and the 6-strand full twist) before the Hecke product moved to a
+walk of the reduced-word prefix tree, so any change to
 exact values, to the canonical ``num``/``den`` form, to a gate result or to
 the printed approximations shows here.
 """
@@ -53,6 +55,11 @@ COMMANDS = (
         "reduced", "--refined", "coho", "--all-structures"],
        ["invariant", "--manifold", "@tree200red26", "2", "6", "--theory",
         "reduced", "--refined", "spin", "--all-structures"]]
+    + [["hecke-check", "2", "5"],
+       ["homfly", "2", "5", "--strands", "5", "--braid",
+        "1,-2,3,-4,2,-1,4,3,-2,1,-3,-4,2"],
+       ["homfly", "3", "3", "--strands", "6", "--braid",
+        ",".join(["1,2,3,4,5"] * 6)]]
 )
 
 

@@ -1,13 +1,20 @@
+import functools
 import gc
 import itertools
+import math
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckemod.diagrams import YoungDiagram, quantum_dimension, twist_coefficient
 from heckemod.hecke import (
     HeckeElement,
+    _quadratic,
+    _step,
     braid_word_to_element,
     central_idempotent,
     full_twist,
@@ -291,3 +298,168 @@ def test_strand_cap(ctx):
 def test_mismatched_strands(ctx):
     with pytest.raises(ScalarError):
         HeckeElement.identity(2, ctx) * HeckeElement.identity(3, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against the plain routines
+# ---------------------------------------------------------------------------
+
+def times_generator_plain(x, i):
+    """Oracle: x * sigma_i term by term from the quadratic relation."""
+    ring = x.ring
+    mid = ring.a() * (ring.s() - ring.s(-1))
+    terms = {}
+
+    def add(p, c):
+        terms[p] = terms[p] + c if p in terms else c
+
+    for p, c in x.terms.items():
+        q = tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)
+        if p.index(i) < p.index(i + 1):
+            add(q, c)
+        else:
+            add(p, c * mid)
+            add(q, c * ring.a(2))
+    return HeckeElement(x.n, ring, terms)
+
+
+def times_inverse_plain(x, i):
+    """Oracle: x * sigma_i^-1 = a^-2 x sigma_i - a^-1 (s - s^-1) x."""
+    ring = x.ring
+    return times_generator_plain(x, i).scale(ring.a(-2)) \
+        - x.scale(ring.a(-1) * (ring.s() - ring.s(-1)))
+
+
+def mul_plain(x, y):
+    """Oracle: for each term c_q w_q of y, scale x by c_q, then walk the
+    whole reduced word of q one generator at a time."""
+    total = HeckeElement(x.n, x.ring, {})
+    for q, c in y.terms.items():
+        acc = x.scale(c)
+        for i in reduced_word(q):
+            acc = times_generator_plain(acc, i)
+        total = total + acc
+    return total
+
+
+def markov_trace_plain(x):
+    """Oracle: close the last strand term by term, adding each term's
+    element to the running sum, the basis products taken by mul_plain."""
+    ring = x.ring
+    delta = ring.quantum_integer(ring.N)
+    curl = ring.a() * ring.v(-1)
+    while x.n:
+        n = x.n
+        out = HeckeElement(n - 1, ring, {})
+        for p, c in x.terms.items():
+            if p[n - 1] == n - 1:
+                out = out + (c * delta) * HeckeElement.basis(p[:n - 1], ring)
+                continue
+            k = p.index(n - 1)
+            u = tuple(list(range(k)) + [n - 2] + list(range(k, n - 2)))
+            rest = tuple(v for v in p if v != n - 1)
+            out = out + (c * curl) * mul_plain(HeckeElement.basis(u, ring),
+                                               HeckeElement.basis(rest, ring))
+        x = out
+    return x.terms.get((), ring.zero())
+
+
+ORACLE_RANK_LEVELS = [(2, 3), (3, 3), (2, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_ring(N, K):
+    return su_parameters(N, K)
+
+
+@st.composite
+def coefficients(draw, ring):
+    """A scalar with rational, mostly non-integer coordinates."""
+    den = draw(st.integers(1, 6))
+    nums = draw(st.lists(st.integers(-4, 4), min_size=ring.degree,
+                         max_size=ring.degree))
+    return ring.from_coeffs([Fraction(x, den) for x in nums])
+
+
+@st.composite
+def elements(draw, ring, n):
+    """An element of H_n with a random, full, single-term or empty
+    support."""
+    perms = list(itertools.permutations(range(n)))
+    kind = draw(st.sampled_from(("random", "full", "single", "empty")))
+    if kind == "full":
+        support = perms
+    elif kind == "single":
+        support = [draw(st.sampled_from(perms))]
+    elif kind == "empty":
+        support = []
+    else:
+        support = draw(st.lists(st.sampled_from(perms), max_size=8,
+                                unique=True))
+    return HeckeElement(n, ring, {p: draw(coefficients(ring))
+                                  for p in support})
+
+
+@st.composite
+def element_pairs(draw):
+    ring = oracle_ring(*draw(st.sampled_from(ORACLE_RANK_LEVELS)))
+    n = draw(st.integers(2, 5))
+    return draw(elements(ring, n)), draw(elements(ring, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs())
+def test_product_matches_plain(xy):
+    x, y = xy
+    assert (x * y).terms == mul_plain(x, y).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs(), st.data())
+def test_generator_steps_match_plain(xy, data):
+    x, _ = xy
+    ring = x.ring
+    i = data.draw(st.integers(0, x.n - 2))
+    assert _step(x.terms, i, 1, *_quadratic(ring, 1)) == \
+        times_generator_plain(x, i).terms
+    assert _step(x.terms, i, -1, *_quadratic(ring, -1)) == \
+        times_inverse_plain(x, i).terms
+    word = data.draw(st.lists(st.integers(1, x.n - 1).flatmap(
+        lambda g: st.sampled_from((g, -g))), max_size=10))
+    expected = HeckeElement.identity(x.n, ring)
+    for w in word:
+        expected = times_generator_plain(expected, w - 1) if w > 0 \
+            else times_inverse_plain(expected, -w - 1)
+    assert braid_word_to_element(word, x.n, ring).terms == expected.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs())
+def test_markov_trace_matches_plain(xy):
+    x, y = xy
+    assert x.markov_trace() == markov_trace_plain(x)
+    # sign and equality on the same inputs
+    assert (x + (-y)).terms == (x + (-1) * y).terms
+    assert (x - y == x + (-1) * y) and (x - x).is_zero()
+    assert (x == y) == (x + (-1) * y).is_zero()
+
+
+@pytest.mark.parametrize("N,K", ORACLE_RANK_LEVELS)
+def test_generator_times_inverse_on_basis(N, K):
+    ring = oracle_ring(N, K)
+    forward, backward = _quadratic(ring, 1), _quadratic(ring, -1)
+    for p in itertools.permutations(range(4)):
+        one = {p: ring.one()}
+        for i in range(3):
+            assert _step(_step(one, i, 1, *forward), i, -1, *backward) == one
+            assert _step(_step(one, i, -1, *backward), i, 1, *forward) == one
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_reduced_words_form_a_prefix_tree(n):
+    # every prefix of a reduced word is the reduced word of a permutation,
+    # so the product walks n! - 1 tree nodes, not the sum of the lengths
+    words = {reduced_word(p) for p in itertools.permutations(range(n))}
+    prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+    assert prefixes == words - {()}
+    assert len(prefixes) == math.factorial(n) - 1

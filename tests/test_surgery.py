@@ -18,6 +18,8 @@ from heckemod.surgery import (
     PlumbingVertex,
     _candidate_lists,
     _eliminate,
+    _signature,
+    _sparse_columns,
     chain,
     colored_bracket,
     colored_bracket_direct,
@@ -174,8 +176,11 @@ def signature_test_forest(rng):
 def test_signature_random_against_float():
     rng = random.Random(11)
     for _ in range(2000):
-        B, sigma = linking_data(signature_test_forest(rng))
+        g = signature_test_forest(rng)
+        B, sigma = linking_data(g)
         assert sigma == eigenvalue_signature(B)
+        # the walk alone, without the dense matrix
+        assert _signature(g) == (len(B), sigma)
 
 
 def test_signature_long_chain():
@@ -291,7 +296,7 @@ def both_eliminations(g, weights, matrix, ctx):
     """(packed, plain) values on copies of the same weights."""
     def fresh():
         return {vid: dict(options) for vid, options in weights.items()}
-    return (_eliminate(g, fresh(), matrix, ctx),
+    return (_eliminate(g, fresh(), _sparse_columns(matrix, ctx.degree), ctx),
             eliminate_plain(g, fresh(), matrix, ctx))
 
 
@@ -435,6 +440,25 @@ def test_weight_table_dies_with_its_data():
     assert data._weight_table
     assert all(w.ring is data.ctx for w in data._weight_table.values())
     ref = weakref.ref(data.ctx)
+    del data
+    gc.collect()
+    assert ref() is None
+
+
+def test_s_term_table_dies_with_its_data():
+    data = build_modular_data(2, 3, "su")
+    g = chain([-2, 3, 1])
+    colored_bracket(g, data)
+    table = data._s_terms
+    colored_bracket(g, data)
+    assert data._s_terms is table  # built once per data
+    del table
+    # the data (or its attribute dict) is the table's one holder, and
+    # nothing holds the data
+    (holder,) = gc.get_referrers(data._s_terms)
+    assert holder is data or holder is vars(data)
+    del holder
+    ref = weakref.ref(data)
     del data
     gc.collect()
     assert ref() is None
