@@ -54,6 +54,13 @@ class YoungDiagram:
         col = self.transpose().row(j)
         return self.rows[i] + col - i - j - 1
 
+    def hook_lengths(self) -> list[int]:
+        """The hook length of every cell, in the order of :meth:`cells`,
+        from one transpose."""
+        cols = self.transpose()
+        return [r + cols.row(j) - i - j - 1
+                for i, r in enumerate(self.rows) for j in range(r)]
+
     def content(self, i: int, j: int) -> int:
         return j - i
 
@@ -99,7 +106,7 @@ class ReducedLabel:
 def diagram_stats(lam: YoungDiagram) -> dict:
     """Cells, hooks, contents (row-reading order), transpose, tableau count."""
     cells = lam.cells()
-    hooks = [lam.hook_length(i, j) for i, j in cells]
+    hooks = lam.hook_lengths()
     contents = [j - i for i, j in cells]
     tableaux = Fraction(math.factorial(lam.size))
     for h in hooks:
@@ -165,8 +172,7 @@ def quantum_dimension(ctx: RingContext, label) -> CycScalar:
     """Hook-content product over cells: prod [N + cn(c)] / [hl(c)]."""
     lam = label.diagram if isinstance(label, ReducedLabel) else label
     num = den = ctx.one()
-    for (i, j) in lam.cells():
-        hl = lam.hook_length(i, j)
+    for (i, j), hl in zip(lam.cells(), lam.hook_lengths()):
         hook = ctx.quantum_integer(hl)
         if hook.is_zero():
             raise ScalarError(
@@ -179,9 +185,8 @@ def quantum_dimension(ctx: RingContext, label) -> CycScalar:
 def quantum_dimension_general(ctx: RingContext, lam: YoungDiagram) -> CycScalar:
     """The general-v form prod (v^-1 s^cn - v s^-cn)/(s^hl - s^-hl)."""
     total = ctx.one()
-    for (i, j) in lam.cells():
+    for (i, j), hl in zip(lam.cells(), lam.hook_lengths()):
         cn = lam.content(i, j)
-        hl = lam.hook_length(i, j)
         num = ctx.v(-1) * ctx.s(cn) - ctx.v(1) * ctx.s(-cn)
         den = ctx.s(hl) - ctx.s(-hl)
         total = total * num * den.invert()

@@ -506,6 +506,6 @@ def _embed(x: HeckeElement, offset: int, n: int, ring: RingContext) -> HeckeElem
 
 def quantum_hook_product(lam: YoungDiagram, ring: RingContext) -> CycScalar:
     total = ring.one()
-    for (i, j) in lam.cells():
-        total = total * ring.quantum_integer(lam.hook_length(i, j))
+    for hl in lam.hook_lengths():
+        total = total * ring.quantum_integer(hl)
     return total

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .diagrams import (
     EMPTY,
@@ -29,6 +30,7 @@ from .scalars import (
     RingContext,
     ScalarError,
     _PackedRows,
+    _packed_combination,
     _packed_dot,
     solve_framing_reduced,
     su_parameters,
@@ -51,6 +53,35 @@ def _signed_permutations(N: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _permutation_getters(N: int) -> tuple:
+    """For the even and for the odd permutations pi of range(N), itemgetters
+    of the cells (i, pi(i)) of a row-major N x N table."""
+    even, odd = [], []
+    for pi, sign in _signed_permutations(N):
+        get = itemgetter(*(i * N + p for i, p in enumerate(pi)))
+        (even if sign == 1 else odd).append(get)
+    return tuple(even), tuple(odd)
+
+
+def _alternant_histogram(ctx: RingContext, exponents: list[int],
+                         powers: list[int], shift: int = 0) -> list[int]:
+    """zeta^shift det(zeta^(exponents[i] * powers[j])) as a histogram: entry
+    k is the signed number of permutation terms equal to zeta^k, k < M."""
+    M = ctx.M
+    table = [e * p % M for e in exponents for p in powers]
+    # every permutation term takes exactly one cell of the first row
+    for j in range(len(powers)):
+        table[j] += shift
+    hist = [0] * M
+    even, odd = _permutation_getters(ctx.N)
+    for get in even:
+        hist[sum(get(table)) % M] += 1
+    for get in odd:
+        hist[sum(get(table)) % M] -= 1
+    return hist
+
+
 def _alternant(ctx: RingContext, exponents: list[int],
                powers: list[int]) -> CycScalar:
     """det(zeta^(exponents[i] * powers[j])), summed over permutations.
@@ -58,12 +89,8 @@ def _alternant(ctx: RingContext, exponents: list[int],
     Every permutation adds its sign to a histogram of the exponent mod M; the
     histogram maps once to the power basis through the table of zeta^k.
     """
-    M = ctx.M
-    table = [[e * p % M for p in powers] for e in exponents]
-    hist = [0] * M
-    for pi, sign in _signed_permutations(ctx.N):
-        hist[sum(map(list.__getitem__, table, pi)) % M] += sign
     nums = [0] * ctx.degree
+    hist = _alternant_histogram(ctx, exponents, powers)
     for terms, h in zip(ctx._zeta_terms, hist):
         if h:
             for i, c in terms:
@@ -110,6 +137,56 @@ def s_matrix_entry(ctx: RingContext, lam, mu, column: tuple | None = None) -> Cy
     pref = ctx.zeta((2 * ctx.a_exp * lam.size * mu.size
                      - (N - 1) * ctx.s_exp * lam.size) % ctx.M)
     return pref * val * dim_mu
+
+
+def _s_matrix(ctx: RingContext, labels: list) -> list:
+    """Every entry of S, in the Kac-Peterson form of :func:`s_matrix_entry`.
+
+    With l = lam + rho and m = mu + rho, S_{lam,mu} = c zeta^e A(lam, mu),
+    where A(lam, mu) = det(s^(2 l_i m_j)) is the Weyl alternant, the
+    normalizer c = 1/A(empty, empty) is one constant of the ring (the Weyl
+    dimension formula gives <mu> s^((N-1)|mu|) / A(empty, mu) = c for every
+    mu), and e = 2a|lam||mu| - (N-1)s(|lam| + |mu|), plus the column-object
+    crossing term for reduced labels, as an exponent of zeta.  e shifts the
+    index of the alternant's histogram h, so the entry is the combination
+    sum_k h_k c zeta^k of one packed table, with sum |h_k| <= N!.
+    """
+    N, M = ctx.N, ctx.M
+    rho = list(range(N - 1, -1, -1))
+    c = _alternant(ctx, [2 * ctx.s_exp * r for r in rho], rho).invert()
+    # c zeta^k for k < M, each the last times zeta; zeta is a unit, so all
+    # share the denominator of c
+    scaled = []
+    vec = list(c.nums)
+    for _ in range(M):
+        scaled.append(CycScalar(ctx, tuple(vec), c.den))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            for i, p in ctx._phi_tail:
+                vec[i] += top * p
+    powers = _PackedRows(ctx, [scaled])
+    width = (math.factorial(N) * powers.bound).bit_length() + 1
+
+    parts = []  # (column power, size, l, 2 s_exp l) per label
+    for lab in labels:
+        i, lam = (lab.i, lab.diagram) if isinstance(lab, ReducedLabel) \
+            else (0, lab)
+        top = [lam.row(r) + rho[r] for r in range(N)]
+        parts.append((i, lam.size, top, [2 * ctx.s_exp * x % M for x in top]))
+    # the column-object crossing factor a^N s is a root of unity
+    cross = 2 * (ctx.a_exp * N + ctx.s_exp)
+    a2, s1 = 2 * ctx.a_exp, (N - 1) * ctx.s_exp
+    s_matrix = []
+    for i, size_l, top, _ in parts:
+        row = []
+        for j, size_m, _, exps in parts:
+            e = (a2 * size_l * size_m - s1 * (size_l + size_m)
+                 + cross * (i * j * N + i * size_m + j * size_l)) % M
+            hist = _alternant_histogram(ctx, exps, top, e)
+            row.append(_packed_combination(powers, hist, width))
+        s_matrix.append(row)
+    return s_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +286,8 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
 
     twists = [twist_coefficient(ctx, lab) for lab in labels]
     n = len(labels)
-    columns = [s_matrix_column(ctx, mu) for mu in labels]
-    dims = [col[2] for col in columns]
-    s_matrix = [[s_matrix_entry(ctx, lam, mu, col)
-                 for mu, col in zip(labels, columns)] for lam in labels]
+    dims = [quantum_dimension(ctx, lab) for lab in labels]
+    s_matrix = _s_matrix(ctx, labels)
 
     omega = ctx.zero()
     dplus = ctx.zero()
@@ -221,7 +296,8 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
         sq = d_ * d_
         omega = omega + sq
         dplus = dplus + t_ * sq
-        dminus = dminus + t_.invert() * sq
+        # a twist is a root of unity, so its inverse is its conjugate
+        dminus = dminus + t_.conjugate() * sq
 
     spin = is_spin_rank_level(N, K) and theory in ("psu", "reduced")
     report = {}
@@ -230,6 +306,7 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     data = ModularData(theory, N, K, ctx, labels, dims, twists, s_matrix,
                        omega, dplus, dminus, spin, report, alpha, beta)
     unit = data.unit_index
+    # the alternant row of the unit against the hook-content dimensions
     report["first_row_is_dims"] = all(s_matrix[unit][j] == dims[j] for j in range(n))
     report["omega_closed_form"] = omega == omega_closed_form(ctx, closed_factor)
     if spin and theory == "psu":

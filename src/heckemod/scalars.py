@@ -173,13 +173,14 @@ class RingContext:
     # -- quantum integers ---------------------------------------------------
 
     def quantum_integer(self, n: int) -> "CycScalar":
-        """[n] = (s^n - s^-n)/(s - s^-1), computed as s^(n-1) + s^(n-3) + ... + s^(1-n)."""
-        if n < 0:
-            return -self.quantum_integer(-n)
-        total = self.zero()
-        for k in range(n):
-            total = total + self.s(n - 1 - 2 * k)
-        return total
+        """[n] = (s^n - s^-n)/(s - s^-1), summed as s^(n-1) + s^(n-3) + ...
+        + s^(1-n) straight from the table of zeta^k; [-n] = -[n]."""
+        sign, m = (-1, -n) if n < 0 else (1, n)
+        nums = [0] * self.degree
+        for k in range(m):
+            for i, c in self._zeta_terms[self.s_exp * (m - 1 - 2 * k) % self.M]:
+                nums[i] += sign * c
+        return CycScalar(self, tuple(nums))
 
     def quantum_factorial(self, n: int) -> "CycScalar":
         if n < 0:
@@ -499,6 +500,26 @@ class _PackedRows:
         return self.packed
 
 
+@lru_cache(maxsize=64)
+def _field_bias(count: int, width: int) -> int:
+    """2^(width-1) in each of ``count`` fields of ``width`` bits."""
+    return (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
+
+
+def _unpack(v: int, count: int, width: int) -> list[int]:
+    """The lowest ``count`` coefficients of a packed integer, lowest first,
+    exact when each lies strictly between -2^(width-1) and 2^(width-1)."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    # adding half to every field makes each one a nonnegative digit
+    v += _field_bias(count, width)
+    out = []
+    for _ in range(count):
+        out.append((v & mask) - half)
+        v >>= width
+    return out
+
+
 def _packed_dot(xs: _PackedRows, ys: _PackedRows):
     """Yield [sum_k x_ik * y_jk for each row j of ys] for each row i of xs,
     exactly.
@@ -517,20 +538,26 @@ def _packed_dot(xs: _PackedRows, ys: _PackedRows):
     width = max(bound.bit_length() + 1, xs.width, ys.width)
     px, py = xs.at(width), ys.at(width)
     terms = 2 * deg - 1
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    # adding half to every field makes each one a nonnegative digit
-    bias = sum(half << (width * t) for t in range(terms))
     for xrow, dx in zip(px, xs.dens):
         orow = []
         for yrow, dy in zip(py, ys.dens):
-            v = sum(map(mul, xrow, yrow)) + bias
-            prod = []
-            for _ in range(terms):
-                prod.append((v & mask) - half)
-                v >>= width
+            prod = _unpack(sum(map(mul, xrow, yrow)), terms, width)
             orow.append(_canonical(ring, _reduce_phi(ring, prod), dx * dy))
         yield orow
+
+
+def _packed_combination(xs: _PackedRows, weights, width: int) -> CycScalar:
+    """sum_k weights[k] * x_k over the first row x of ``xs``, exactly.
+
+    Each field of the summed packed integer is at most
+    sum |weights| * xs.bound in absolute value, so the result is exact when
+    ``width`` is at least the bit length of that bound plus one; the sum of
+    reduced vectors is reduced, so it is unpacked once over the row's
+    denominator.
+    """
+    v = sum(w * x for w, x in zip(weights, xs.at(width)[0]) if w)
+    ring = xs.ring
+    return _canonical(ring, tuple(_unpack(v, ring.degree, width)), xs.dens[0])
 
 
 # ---------------------------------------------------------------------------

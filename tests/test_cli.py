@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,28 @@ def test_verification_failure_exit(capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["report"]["modular"] is False
+
+
+# ---------------------------------------------------------------------------
+# python -m heckemod
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["modular-data", "2", "3"],
+    # the degenerate psu theory exits 3 and still writes its document
+    ["modular-data", "3", "3", "--theory", "psu"]])
+def test_python_m_matches_in_process_main(argv, tmp_path, capsys):
+    import heckemod
+    src = str(Path(heckemod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    sub = tmp_path / "sub.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckemod", *argv, "--json", str(sub)],
+        env=env, capture_output=True, timeout=120)
+    own = tmp_path / "own.json"
+    code = main([*argv, "--json", str(own)])
+    capsys.readouterr()
+    assert proc.returncode == code
+    assert sub.read_bytes() == own.read_bytes()

@@ -54,6 +54,12 @@ def test_diagram_stats_row():
         assert st["tableau_count"] == 1
 
 
+def test_hook_lengths_match_each_cell():
+    for lam in enumerate_sector(4, 5, "bar"):
+        assert lam.hook_lengths() == [lam.hook_length(i, j)
+                                      for i, j in lam.cells()]
+
+
 def test_diagram_stats_32():
     assert diagram_stats(YoungDiagram.of(3, 2))["tableau_count"] == 5
     assert brute_force_tableau_count(YoungDiagram.of(3, 2)) == 5

@@ -12,7 +12,10 @@ structures moved to leaf elimination over the forest, and the 200-vertex
 tree values before the elimination's messages moved to content-free packed
 integers, and the Hecke values (``hecke-check 2 5``, a mixed-sign 5-strand
 closure and the 6-strand full twist) before the Hecke product moved to a
-walk of the reduced-word prefix tree, so any change to
+walk of the reduced-word prefix tree, and ``modular-data 5 3`` (120-term
+alternants) and ``modular-data 3 6`` / ``4 6 --theory reduced`` (column
+powers up to 2 and 1) before the S-matrix build moved to alternant
+histograms against one packed normalizer, so any change to
 exact values, to the canonical ``num``/``den`` form, to a gate result or to
 the printed approximations shows here.
 """
@@ -60,6 +63,9 @@ COMMANDS = (
         "1,-2,3,-4,2,-1,4,3,-2,1,-3,-4,2"],
        ["homfly", "3", "3", "--strands", "6", "--braid",
         ",".join(["1,2,3,4,5"] * 6)]]
+    + [["modular-data", "5", "3"],
+       ["modular-data", "3", "6", "--theory", "reduced"],
+       ["modular-data", "4", "6", "--theory", "reduced"]]
 )
 
 

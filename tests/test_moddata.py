@@ -2,19 +2,24 @@ import gc
 import math
 import random
 import weakref
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckemod.diagrams import (
     EMPTY,
     ReducedLabel,
     YoungDiagram,
     enumerate_sector,
+    orbit_representatives,
     quantum_dimension,
     star_involution,
 )
 from heckemod.moddata import (
+    THEORIES,
     ModularData,
     _alternant,
     _signed_permutations,
@@ -24,11 +29,13 @@ from heckemod.moddata import (
     is_spin_rank_level,
     littlewood_richardson,
     omega_closed_form,
+    s_matrix_column,
     s_matrix_entry,
     verlinde_dimension,
 )
 from heckemod.scalars import (
     ScalarError,
+    _packed_combination,
     _packed_dot,
     _PackedRows,
     solve_framing_reduced,
@@ -312,3 +319,128 @@ def test_packed_conj_s_dies_with_its_data():
     del data, packed
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# the Kac-Peterson S build against the per-entry route
+# ---------------------------------------------------------------------------
+
+S_ORACLE_GRID = [(2, 2), (2, 3), (3, 3), (4, 2), (4, 3), (2, 9), (5, 2),
+                 (3, 5), (4, 4), (5, 3)]
+
+
+def _assert_s_matches_entries(data):
+    ctx = data.ctx
+    columns = [s_matrix_column(ctx, mu) for mu in data.labels]
+    for lam, row in zip(data.labels, data.s_matrix):
+        for mu, col, x in zip(data.labels, columns, row):
+            want = s_matrix_entry(ctx, lam, mu, col)
+            assert (x.nums, x.den) == (want.nums, want.den), (lam, mu)
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("N,K", S_ORACLE_GRID)
+def test_built_s_matches_entry_oracle(N, K, theory):
+    _assert_s_matches_entries(build_modular_data(N, K, theory))
+
+
+@pytest.mark.parametrize("N,K", [(3, 3), (4, 2), (3, 6), (4, 6)])
+def test_built_s_matches_entry_oracle_at_column_powers(N, K):
+    data = build_modular_data(N, K, "reduced")
+    # the crossing term of the column object is exercised
+    assert any(lab.i > 0 for lab in data.labels)
+    _assert_s_matches_entries(data)
+
+
+def _normalizer(ctx):
+    """1/A(rho, rho), the inverse Vandermonde alternant of the empty
+    diagram."""
+    rho = list(range(ctx.N - 1, -1, -1))
+    return _alternant(ctx, [2 * ctx.s_exp * r for r in rho], rho).invert()
+
+
+@pytest.mark.parametrize("N,K", S_ORACLE_GRID + [(3, 6), (4, 6)])
+def test_normalizer_is_one_constant_for_every_label(N, K):
+    alpha, beta, red = solve_framing_reduced(N, K)
+    for ctx, labels in ((su_parameters(N, K), enumerate_sector(N, K, "strict")),
+                        (red, orbit_representatives(N, K, alpha, beta)[0])):
+        c = _normalizer(ctx)
+        for mu in labels:
+            _, inv_vandermonde, dim = s_matrix_column(ctx, mu)
+            size = mu.diagram.size if isinstance(mu, ReducedLabel) else mu.size
+            assert inv_vandermonde * dim * ctx.s((N - 1) * size) == c, mu
+
+
+_numerator = st.integers(min_value=-2**40, max_value=2**40)
+
+
+@pytest.mark.parametrize("ctx", [
+    su_parameters(2, 3), su_parameters(3, 3), solve_framing_reduced(4, 2)[2]],
+    ids=["su23", "su33", "reduced42"])
+def test_packed_combination_at_its_width_bound(ctx):
+    M, deg = ctx.M, ctx.degree
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_numerator, min_size=deg, max_size=deg).filter(any),
+           st.integers(min_value=1, max_value=10**6),
+           st.integers(min_value=1, max_value=720),
+           st.lists(st.integers(min_value=-720, max_value=720),
+                    min_size=M, max_size=M))
+    def check(nums, den, terms, raw):
+        c = ctx.from_coeffs([Fraction(x, den) for x in nums])
+        scaled = [c * ctx.zeta(k) for k in range(M)]
+        powers = _PackedRows(ctx, [scaled])
+        width = (terms * powers.bound).bit_length() + 1
+        # any weights with sum |w| <= terms
+        weights, budget = [], terms
+        for w in raw:
+            w = max(-budget, min(budget, w))
+            budget -= abs(w)
+            weights.append(w)
+        want = ctx.zero()
+        for w, x in zip(weights, scaled):
+            want = want + w * x
+        got = _packed_combination(powers, weights, width)
+        assert (got.nums, got.den) == (want.nums, want.den)
+        # every weight on one power whose numerator reaches the bound: that
+        # field of the sum is exactly terms * bound
+        k, i = next((k, i) for k, vec in enumerate(powers.nums[0])
+                    for i, x in enumerate(vec) if abs(x) == powers.bound)
+        weights = [0] * M
+        weights[k] = terms if powers.nums[0][k][i] > 0 else -terms
+        want = weights[k] * scaled[k]
+        got = _packed_combination(powers, weights, width)
+        assert (got.nums, got.den) == (want.nums, want.den)
+        assert _packed_combination(powers, weights, width - 1) != want
+
+    check()
+
+
+@pytest.mark.parametrize("ctx", [
+    su_parameters(2, 3), su_parameters(3, 3), su_parameters(4, 2),
+    solve_framing_reduced(3, 3)[2], solve_framing_reduced(2, 6)[2]],
+    ids=["su23", "su33", "su42", "reduced33", "reduced26"])
+def test_quantum_integer_is_the_sum_of_powers(ctx):
+    L = ctx.N + ctx.K
+    gap = ctx.s() - ctx.s(-1)
+    for n in range(-3 * L, 3 * L + 1):
+        m = abs(n)
+        want = ctx.zero()
+        for k in range(m):
+            want = want + ctx.s(m - 1 - 2 * k)
+        if n < 0:
+            want = -want
+        got = ctx.quantum_integer(n)
+        assert (got.nums, got.den) == (want.nums, want.den), n
+        assert got * gap == ctx.s(n) - ctx.s(-n), n
+
+
+@pytest.mark.parametrize("N,K,theory", [
+    (2, 2, "su"), (3, 3, "su"), (3, 3, "psu"), (2, 6, "psu"),
+    (3, 3, "reduced"), (4, 2, "reduced")])
+def test_delta_minus_matches_inverse_twists(N, K, theory):
+    data = build_modular_data(N, K, theory)
+    want = data.ctx.zero()
+    for d, t in zip(data.dims, data.twists):
+        want = want + t.invert() * d * d
+    assert (data.delta_minus.nums, data.delta_minus.den) == (want.nums, want.den)
