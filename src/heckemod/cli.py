@@ -16,6 +16,7 @@ import random
 import sys
 from functools import reduce
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from .diagrams import quantum_dimension
 from .hecke import (
@@ -77,14 +78,74 @@ class _Parser(argparse.ArgumentParser):
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, so this
+    writes the same text directly: a list of plain ints in one join, and
+    each dict object once per nesting depth (the scalar writer hands out
+    one dict per distinct scalar, so a repeated S entry is encoded once).
+    """
+    done = {}  # (id(dict), depth) -> its text, for this call only
+
+    def enc(o, depth):
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            text = done.get((id(o), depth))
+            if text is None:
+                sep = "\n" + "  " * (depth + 1)
+                text = done[id(o), depth] = (
+                    "{" + sep + ("," + sep).join(
+                        encode_basestring_ascii(k) + ": " + enc(v, depth + 1)
+                        for k, v in sorted(o.items()))
+                    + "\n" + "  " * depth + "}")
+            return text
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            sep = "\n" + "  " * (depth + 1)
+            if set(map(type, o)) == {int}:
+                body = ("," + sep).join(map(int.__repr__, o))
+            else:
+                body = ("," + sep).join(enc(x, depth + 1) for x in o)
+            return "[" + sep + body + "\n" + "  " * depth + "]"
+        return json.dumps(o)
+
+    return enc(doc, 0) + "\n"
+
+
+def _scalar_writer(precision: int):
+    """``scalar_to_json`` at ``precision``, once per distinct scalar of one
+    document.  The key is the representation, not the value: a zero
+    ExtScalar equals itself at either eta parity but writes its own
+    ``eta_pow``, and ExtScalar equality raises across theories."""
+    memo = {}
+
+    def write(x):
+        if isinstance(x, ExtScalar):
+            base, om = x.base, x.omega
+            key = (base.ring.M, base.nums, base.den,
+                   x.eta_pow, x.theory, om.nums, om.den)
+        else:
+            key = (x.ring.M, x.nums, x.den)
+        doc = memo.get(key)
+        if doc is None:
+            doc = memo[key] = scalar_to_json(x, precision)
+        return doc
+
+    return write
 
 
 def _emit(doc, args) -> None:
     text = canonical_json(doc)
     if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise UsageError(f"cannot write output file: {ex}")
     else:
         sys.stdout.write(text)
 
@@ -105,19 +166,18 @@ def manifest_graph(name: str) -> PlumbingGraph:
 
 def cmd_modular_data(args) -> int:
     data = build_modular_data(args.N, args.K, args.theory)
-    p = args.precision
+    write = _scalar_writer(args.precision)
     doc = {
         "N": args.N,
         "K": args.K,
         "theory": args.theory,
         "labels": [str(lab) for lab in data.labels],
-        "dims": [scalar_to_json(x, p) for x in data.dims],
-        "twists": [scalar_to_json(x, p) for x in data.twists],
-        "s_matrix": [[scalar_to_json(x, p) for x in row]
-                     for row in data.s_matrix],
-        "omega": scalar_to_json(data.omega, p),
-        "delta_plus": scalar_to_json(data.delta_plus, p),
-        "delta_minus": scalar_to_json(data.delta_minus, p),
+        "dims": [write(x) for x in data.dims],
+        "twists": [write(x) for x in data.twists],
+        "s_matrix": [[write(x) for x in row] for row in data.s_matrix],
+        "omega": write(data.omega),
+        "delta_plus": write(data.delta_plus),
+        "delta_minus": write(data.delta_minus),
         "report": dict(data.report),
     }
     if data.theory == "reduced":
@@ -149,7 +209,7 @@ def cmd_invariant(args) -> int:
         raise UsageError("--refined requires --theory reduced")
     g = _load_graph(args)
     data = build_modular_data(args.N, args.K, args.theory)
-    p = args.precision
+    write = _scalar_writer(args.precision)
     res = tau(g, data)
     doc = {
         "N": args.N,
@@ -157,7 +217,7 @@ def cmd_invariant(args) -> int:
         "theory": args.theory,
         "signature": res.signature,
         "linking_matrix": res.report["linking_matrix"],
-        "value": scalar_to_json(res.value, p),
+        "value": write(res.value),
     }
     code = EXIT_OK
     if args.refined:
@@ -172,7 +232,7 @@ def cmd_invariant(args) -> int:
                 val = refined_tau(g, c, data, kind)
                 values.append(val)
                 records.append({"structure": list(c),
-                                "value": scalar_to_json(val, p)})
+                                "value": write(val)})
             total = reduce(lambda x, y: x + y, values)
             doc["refined"] = {
                 "kind": kind,
@@ -195,7 +255,7 @@ def cmd_invariant(args) -> int:
             val = refined_tau(g, c, data, kind)
             doc["refined"] = {"kind": kind, "modulus": d,
                               "structure": [x % d for x in c],
-                              "value": scalar_to_json(val, p)}
+                              "value": write(val)}
     _emit(doc, args)
     return code
 

@@ -5,16 +5,25 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckemod.cli import (
     MANIFEST_NAMES,
+    _scalar_writer,
+    canonical_json,
     load_manifest,
     main,
     manifest_graph,
 )
 from heckemod.hecke import MAX_STRANDS, homfly_braid_closure
 from heckemod.moddata import build_modular_data
-from heckemod.scalars import scalar_from_json, su_parameters
+from heckemod.scalars import (
+    ExtScalar,
+    scalar_from_json,
+    scalar_to_json,
+    su_parameters,
+)
 from heckemod.surgery import parse_plumbing, plumbing_to_json, tau
 
 
@@ -63,6 +72,64 @@ def test_json_file_output(capsys, tmp_path):
     ctx = su_parameters(2, 2)
     assert scalar_from_json(doc["value"], ctx) == \
         homfly_braid_closure([1, 1, 1], 2, ctx)
+
+
+def json_dumps_oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_keys = st.text() | st.sampled_from(["", "a", "\"", "\\", "\n\t", "\u00e9",
+                                     "\u2028", "\U0001f600", "\x00"])
+_leaves = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+           | st.floats(allow_nan=True, allow_infinity=True) | _keys)
+_docs = st.recursive(
+    _leaves,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.lists(st.integers(), max_size=4)
+                  | st.lists(st.integers() | st.booleans(), max_size=4)
+                  | st.dictionaries(_keys, kids, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_docs, shared=st.dictionaries(_keys, _docs, min_size=1,
+                                         max_size=3))
+def test_canonical_json_matches_json_dumps(doc, shared):
+    assert canonical_json(doc) == json_dumps_oracle(doc)
+    # one dict object twice at the same depth and again at other depths:
+    # its text depends on the depth it is written at
+    nested = {"a": shared, "b": [shared, shared], "c": {"d": [doc, shared]},
+              "e": [], "f": {}, "g": [[], {}, [[]]]}
+    assert canonical_json(nested) == json_dumps_oracle(nested)
+    assert canonical_json([shared, nested]) == json_dumps_oracle(
+        [shared, nested])
+
+
+def test_scalar_writer_keys_on_representation():
+    # scalars that write different documents although a value key would
+    # merge them (a zero ExtScalar is equal, and hashes alike, at either
+    # eta parity) or a nums/den key would (fields of different order, or
+    # the same base under a different omega)
+    ring16, ring20 = su_parameters(2, 2), su_parameters(2, 3)
+    assert ring16.degree == ring20.degree and ring16.M != ring20.M
+    coeffs = [1, -2, 0, 3, 0, 0, 5, -1]
+    omega = ring16.from_rational(4)
+    zero0 = ExtScalar(ring16.zero(), 0, "reduced", omega)
+    zero1 = ExtScalar(ring16.zero(), 1, "reduced", omega)
+    assert zero0 == zero1 and hash(zero0) == hash(zero1)
+    values = [zero0, zero1, zero0,
+              ExtScalar(ring16.zero(), 1, "su", omega),
+              ExtScalar(ring16.one(), 1, "reduced", omega),
+              ExtScalar(ring16.one(), 1, "reduced", ring16.from_rational(9)),
+              ring16.from_coeffs(coeffs), ring20.from_coeffs(coeffs),
+              ring16.from_coeffs(coeffs), ring16.zero(), ring20.zero()]
+    write = _scalar_writer(20)
+    doc = {"values": [write(x) for x in values]}
+    assert doc == {"values": [scalar_to_json(x, 20) for x in values]}
+    assert canonical_json(doc) == json_dumps_oracle(
+        {"values": [scalar_to_json(x, 20) for x in values]})
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +227,12 @@ def test_usage_errors(capsys):
     assert main(["homfly", "2", "3", "--strands", "-3"]) == 1
     # above the strand cap: a usage error, not a computation error
     assert main(["homfly", "2", "3", "--strands", str(MAX_STRANDS + 1)]) == 1
-    assert capsys.readouterr().out == ""
+    # an unwritable output path, not a FileNotFoundError traceback
+    assert main(["modular-data", "2", "3", "--json",
+                 "/nonexistent/dir/x.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: cannot write" in captured.err
 
 
 @pytest.mark.parametrize("doc", [

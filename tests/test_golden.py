@@ -15,7 +15,10 @@ closure and the 6-strand full twist) before the Hecke product moved to a
 walk of the reduced-word prefix tree, and ``modular-data 5 3`` (120-term
 alternants) and ``modular-data 3 6`` / ``4 6 --theory reduced`` (column
 powers up to 2 and 1) before the S-matrix build moved to alternant
-histograms against one packed normalizer, so any change to
+histograms against one packed normalizer, and three commands at a
+precision other than the default (an S-matrix, refined ``ExtScalar``
+values, a braid closure) before the output moved from ``json.dumps`` to
+a memoized per-document writer, so any change to
 exact values, to the canonical ``num``/``den`` form, to a gate result or to
 the printed approximations shows here.
 """
@@ -66,6 +69,11 @@ COMMANDS = (
     + [["modular-data", "5", "3"],
        ["modular-data", "3", "6", "--theory", "reduced"],
        ["modular-data", "4", "6", "--theory", "reduced"]]
+    + [["modular-data", "3", "3", "--theory", "reduced", "--precision", "40"],
+       ["invariant", "--manifold", "@tree5", "3", "3", "--theory", "reduced",
+        "--refined", "coho", "--all-structures", "--precision", "30"],
+       ["homfly", "3", "3", "--strands", "4", "--braid", "1,2,3,-1,2,-3,1",
+        "--precision", "25"]]
 )
 
 
