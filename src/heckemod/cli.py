@@ -3,7 +3,10 @@ bundled verification suite.
 
 All output is deterministic JSON (sorted keys, canonical exact scalars plus
 complex approximations).  Exit codes: 0 all requested checks pass, 1 usage
-error, 2 computation error, 3 verification failure.
+error, 2 computation error (including a failed construction identity), 3 a
+reported identity failed.  Every subcommand returns its document and whether
+its reported identities hold; :func:`main` alone writes the one and maps the
+other to the exit code.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import json
 import math
 import random
 import sys
-from functools import reduce
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
@@ -31,10 +33,10 @@ from .moddata import (
     build_modular_data,
     fusion_coefficients,
     fusion_from_lr,
-    is_spin_rank_level,
     verlinde_dimension,
 )
 from .refine import (
+    _structure_kind,
     characteristic_solutions,
     graded_gauss_sums,
     reduction_check,
@@ -45,6 +47,7 @@ from .scalars import (
     MIN_PRECISION,
     ExtScalar,
     ScalarError,
+    reduced_framing_split,
     scalar_to_json,
     su_parameters,
 )
@@ -52,7 +55,6 @@ from .surgery import (
     PlumbingGraph,
     colored_bracket,
     disjoint_union,
-    linking_data,
     parse_plumbing,
     random_forest,
     single_vertex,
@@ -164,7 +166,7 @@ def manifest_graph(name: str) -> PlumbingGraph:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_modular_data(args) -> int:
+def cmd_modular_data(args) -> tuple[dict, bool]:
     data = build_modular_data(args.N, args.K, args.theory)
     write = _scalar_writer(args.precision)
     doc = {
@@ -183,8 +185,7 @@ def cmd_modular_data(args) -> int:
     if data.theory == "reduced":
         doc["alpha"] = data.alpha
         doc["beta"] = data.beta
-    _emit(doc, args)
-    return EXIT_OK if all(data.report.values()) else EXIT_VERIFICATION
+    return doc, all(data.report.values())
 
 
 def _load_graph(args) -> PlumbingGraph:
@@ -200,7 +201,7 @@ def _load_graph(args) -> PlumbingGraph:
     return parse_plumbing(doc)
 
 
-def cmd_invariant(args) -> int:
+def cmd_invariant(args) -> tuple[dict, bool]:
     if args.all_structures and not args.refined:
         raise UsageError("--all-structures requires --refined")
     if args.structure and not args.refined:
@@ -211,53 +212,43 @@ def cmd_invariant(args) -> int:
     data = build_modular_data(args.N, args.K, args.theory)
     write = _scalar_writer(args.precision)
     res = tau(g, data)
+    B = res.report["linking_matrix"]
     doc = {
         "N": args.N,
         "K": args.K,
         "theory": args.theory,
         "signature": res.signature,
-        "linking_matrix": res.report["linking_matrix"],
+        "linking_matrix": B,
         "value": write(res.value),
     }
-    code = EXIT_OK
-    if args.refined:
-        kind = args.refined
-        d = data.grading_modulus
-        B, _ = linking_data(g)
-        if args.all_structures:
-            sset = characteristic_solutions(B, d, kind)
-            records = []
-            values = []
-            for c in sset.solutions:
-                val = refined_tau(g, c, data, kind)
-                values.append(val)
-                records.append({"structure": list(c),
-                                "value": write(val)})
-            total = reduce(lambda x, y: x + y, values)
-            doc["refined"] = {
-                "kind": kind,
-                "modulus": d,
-                "structures": records,
-                "decomposition_ok": total == res.value,
-            }
-            if not doc["refined"]["decomposition_ok"]:
-                code = EXIT_VERIFICATION
-        else:
-            if not args.structure:
-                raise UsageError(
-                    "--refined needs --all-structures or --structure c1,c2,...")
-            try:
-                c = [int(x) for x in args.structure.split(",")] \
-                    if args.structure.strip() else []
-            except ValueError:
-                raise UsageError(
-                    "--structure must be comma-separated integers")
-            val = refined_tau(g, c, data, kind)
-            doc["refined"] = {"kind": kind, "modulus": d,
-                              "structure": [x % d for x in c],
-                              "value": write(val)}
-    _emit(doc, args)
-    return code
+    if not args.refined:
+        return doc, True
+    kind = args.refined
+    d = data.grading_modulus
+    if args.all_structures:
+        sols = characteristic_solutions(B, d, kind).solutions
+        values = [refined_tau(g, c, data, kind) for c in sols]
+        ok = sum(values[1:], values[0]) == res.value
+        doc["refined"] = {
+            "kind": kind,
+            "modulus": d,
+            "structures": [{"structure": list(c), "value": write(val)}
+                           for c, val in zip(sols, values)],
+            "decomposition_ok": ok,
+        }
+        return doc, ok
+    if not args.structure:
+        raise UsageError(
+            "--refined needs --all-structures or --structure c1,c2,...")
+    try:
+        c = [int(x) for x in args.structure.split(",")] \
+            if args.structure.strip() else []
+    except ValueError:
+        raise UsageError("--structure must be comma-separated integers")
+    val = refined_tau(g, c, data, kind)
+    doc["refined"] = {"kind": kind, "modulus": d,
+                      "structure": [x % d for x in c], "value": write(val)}
+    return doc, True
 
 
 def hecke_gates(N: int, K: int) -> dict:
@@ -307,15 +298,17 @@ def hecke_gates(N: int, K: int) -> dict:
     return gates
 
 
-def cmd_hecke_check(args) -> int:
-    gates = hecke_gates(args.N, args.K)
-    doc = {"N": args.N, "K": args.K, "gates": gates,
-           "all_pass": all(gates.values())}
-    _emit(doc, args)
-    return EXIT_OK if doc["all_pass"] else EXIT_VERIFICATION
+def _gate_doc(args, gates: dict, **extra) -> tuple[dict, bool]:
+    passed = all(gates.values())
+    return {"N": args.N, "K": args.K, **extra, "gates": gates,
+            "all_pass": passed}, passed
 
 
-def cmd_homfly(args) -> int:
+def cmd_hecke_check(args) -> tuple[dict, bool]:
+    return _gate_doc(args, hecke_gates(args.N, args.K))
+
+
+def cmd_homfly(args) -> tuple[dict, bool]:
     try:
         word = [int(x) for x in args.braid.split(",")] if args.braid else []
     except ValueError:
@@ -333,8 +326,7 @@ def cmd_homfly(args) -> int:
         "braid": word,
         "value": scalar_to_json(value, args.precision),
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, True
 
 
 # ---------------------------------------------------------------------------
@@ -349,28 +341,26 @@ def _is_one(value: ExtScalar) -> bool:
 def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
     """Every identity gate applicable at (N, K); name -> pass/fail."""
     full = depth == "full"
-    d = math.gcd(N, K)
-    n_prime = N // d
-    spin = is_spin_rank_level(N, K)
-    variant = (N + K) % 2 == 0 and n_prime % 2 == 0
-    gates = {}
-
     su = build_modular_data(N, K, "su")
     red = build_modular_data(N, K, "reduced")
     psu = build_modular_data(N, K, "psu")
+    d = red.grading_modulus
+    n_prime = N // d
+    spin = red.spin_case
+    gates = {}
 
     gates["label_count_full"] = len(su.labels) == \
         math.factorial(N + K - 1) // (math.factorial(N - 1) * math.factorial(K))
     gates["label_count_reduced"] = len(red.labels) == \
         d * math.factorial(N + K - 1) // (math.factorial(N) * math.factorial(K))
-    gates["omega_closed_form_full"] = su.report["omega_closed_form"]
-    gates["omega_closed_form_reduced"] = red.report["omega_closed_form"]
-    gates["s_unitarity_full"] = su.report["modular"]
-    gates["s_unitarity_reduced"] = red.report["modular"]
-    gates["delta_product_full"] = su.report["delta_product"]
-    gates["delta_product_reduced"] = red.report["delta_product"]
+    for data, suffix in ((su, "full"), (red, "reduced")):
+        for key, gate in (("omega_closed_form", "omega_closed_form"),
+                          ("modular", "s_unitarity"),
+                          ("delta_product", "delta_product")):
+            gates[f"{gate}_{suffix}"] = data.report[key]
     if spin:
-        gates["degree_zero_spin_sum_vanishes"] = psu.delta_plus.is_zero()
+        gates["degree_zero_spin_sum_vanishes"] = \
+            psu.report["spin_delta_plus_vanishes"]
     elif d == 1:
         gates["s_unitarity_degree_zero"] = psu.report["modular"]
         gates["delta_product_degree_zero"] = psu.report["delta_product"]
@@ -430,16 +420,16 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
         total = total + colored_bracket(g_u1, red, {"v0": r})
     gates["filter_completeness"] = total == colored_bracket(g_u1, red)
 
-    kind = "spin" if spin else "coho"
+    kind = _structure_kind(red)
     names = ["u0"] if not full else ["u0", "u-2", "chain_-2_-2", "chain_0_0"]
     ok_dec = ok_van = True
     for name in names:
         g_ = manifest_graph(name)
-        B, _ = linking_data(g_)
-        sset = characteristic_solutions(B, d, kind)
-        vals = [refined_tau(g_, c, red, kind) for c in sset.solutions]
-        ok_dec &= reduce(lambda x, y: x + y, vals) == tau(g_, red).value
-        sols = set(sset.solutions)
+        res = tau(g_, red)
+        B = res.report["linking_matrix"]
+        sols = characteristic_solutions(B, d, kind).solutions
+        vals = [refined_tau(g_, c, red, kind) for c in sols]
+        ok_dec &= sum(vals[1:], vals[0]) == res.value
         for c in itertools.product(range(d), repeat=len(B)):
             if c in sols:
                 continue
@@ -453,7 +443,7 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
         val.base.is_zero() == (nu != live)
         for nu, val in enumerate(graded_gauss_sums(red)))
 
-    if not variant:
+    if not reduced_framing_split(N, K)[2]:  # the variant normalization
         names = ["u0", "u1"] if not full else \
             ["s3_empty", "u0", "u1", "u-2", "chain_-2_-2", "chain_0_0",
              "tree5"]
@@ -488,14 +478,11 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
     return gates
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     if args.N + args.K > 8 and args.depth == "full":
         raise UsageError("full verification is limited to N + K <= 8")
-    gates = verification_gates(args.N, args.K, args.depth)
-    doc = {"N": args.N, "K": args.K, "depth": args.depth,
-           "gates": gates, "all_pass": all(gates.values())}
-    _emit(doc, args)
-    return EXIT_OK if doc["all_pass"] else EXIT_VERIFICATION
+    return _gate_doc(args, verification_gates(args.N, args.K, args.depth),
+                     depth=args.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +552,15 @@ def main(argv=None) -> int:
               "digits", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        doc, passed = args.func(args)
+        _emit(doc, args)
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except ScalarError as ex:
         print(f"computation error: {ex}", file=sys.stderr)
         return EXIT_COMPUTATION
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":  # pragma: no cover

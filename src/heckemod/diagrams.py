@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import CycScalar, RingContext, ScalarError
@@ -77,18 +76,6 @@ class YoungDiagram:
 EMPTY = YoungDiagram(())
 
 
-def parse_diagram(text) -> YoungDiagram:
-    """Parse "[3,2,1]" or a list of row lengths."""
-    if isinstance(text, YoungDiagram):
-        return text
-    if isinstance(text, str):
-        body = text.strip().strip("[]")
-        rows = tuple(int(t) for t in body.split(",") if t.strip()) if body else ()
-    else:
-        rows = tuple(int(t) for t in text)
-    return YoungDiagram(tuple(r for r in rows if r))
-
-
 @dataclass(frozen=True)
 class ReducedLabel:
     """A power i of the column object 1^N tensored with a diagram in Gamma."""
@@ -101,25 +88,6 @@ class ReducedLabel:
 
     def __str__(self) -> str:
         return f"({self.i},{self.diagram})"
-
-
-def diagram_stats(lam: YoungDiagram) -> dict:
-    """Cells, hooks, contents (row-reading order), transpose, tableau count."""
-    cells = lam.cells()
-    hooks = lam.hook_lengths()
-    contents = [j - i for i, j in cells]
-    tableaux = Fraction(math.factorial(lam.size))
-    for h in hooks:
-        tableaux /= h
-    assert tableaux.denominator == 1
-    return {
-        "cells": cells,
-        "hooks": hooks,
-        "contents": contents,
-        "transpose": lam.transpose(),
-        "tableau_count": int(tableaux),
-        "content_sum": sum(contents),
-    }
 
 
 # ---------------------------------------------------------------------------

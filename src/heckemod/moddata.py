@@ -323,11 +323,10 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     # The degree-zero sub-theory is degenerate whenever gcd(N, K) > 1: the
     # labels in the spectral-flow orbit of the empty diagram have identical
     # S-matrix rows, so S is singular and the delta product picks up a factor
-    # gcd(N, K). Those report entries stay informational for that theory;
-    # everything else is a hard construction gate.
-    informational = {"modular"}
-    if theory == "psu":
-        informational.add("delta_product")
+    # gcd(N, K). Those two entries are reported there and nowhere else;
+    # every other failure is a hard construction error.
+    informational = ("modular", "delta_product") \
+        if theory == "psu" and data.grading_modulus > 1 else ()
     failures = [k for k, v in report.items() if not v and k not in informational]
     if failures:
         raise ScalarError(f"modular data verification failed: {failures}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -16,10 +17,12 @@ from heckemod.cli import (
     main,
     manifest_graph,
 )
+from heckemod import moddata
 from heckemod.hecke import MAX_STRANDS, homfly_braid_closure
 from heckemod.moddata import build_modular_data
 from heckemod.scalars import (
     ExtScalar,
+    ScalarError,
     scalar_from_json,
     scalar_to_json,
     su_parameters,
@@ -274,6 +277,36 @@ def test_verification_failure_exit(capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["report"]["modular"] is False
+
+
+def test_failed_construction_identity_is_fatal(monkeypatch, tmp_path, capsys):
+    # one wrong entry of S conj(S) during the build: a computation error for
+    # every theory except psu at gcd(N, K) > 1, where a failed modularity
+    # check is reported (exit 3) rather than raised
+    packed_dot = moddata._packed_dot
+
+    def spoiled(xs, ys):
+        rows = [list(row) for row in packed_dot(xs, ys)]
+        rows[0][0] = rows[0][0] + rows[0][0]
+        return rows
+
+    monkeypatch.setattr(moddata, "_packed_dot", spoiled)
+    for N, K, theory in [(3, 3, "su"), (3, 3, "reduced"), (2, 3, "psu")]:
+        with pytest.raises(ScalarError, match="modular"):
+            build_modular_data(N, K, theory)
+        assert main(["invariant", "--manifold", manifest_path("u0"), str(N),
+                     str(K), "--theory", theory]) == 2
+    assert capsys.readouterr().out == ""
+    data = build_modular_data(3, 3, "psu")
+    assert data.report["modular"] is False
+    assert data.report["delta_product"] is False
+    out = tmp_path / "psu.json"
+    assert main(["modular-data", "3", "3", "--theory", "psu",
+                 "--json", str(out)]) == 3
+    golden = json.loads(
+        Path(__file__).with_name("golden_outputs.json").read_text())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        golden["modular-data 3 3 --theory psu"]["sha256"]
 
 
 # ---------------------------------------------------------------------------

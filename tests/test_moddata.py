@@ -444,3 +444,69 @@ def test_delta_minus_matches_inverse_twists(N, K, theory):
     for d, t in zip(data.dims, data.twists):
         want = want + t.invert() * d * d
     assert (data.delta_minus.nums, data.delta_minus.den) == (want.nums, want.den)
+
+
+# ---------------------------------------------------------------------------
+# the modular representation: S^2 = omega C and (S T^-1)^3 = Delta_- S^2
+# ---------------------------------------------------------------------------
+
+REPRESENTATION_GRID = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2),
+                       (3, 4), (4, 3), (5, 2)]
+REPRESENTATION_CASES = (
+    [(N, K, theory) for N, K in REPRESENTATION_GRID
+     for theory in ("su", "reduced")]
+    # the degree-zero theory is modular only at coprime rank-levels
+    + [(N, K, "psu") for N, K in REPRESENTATION_GRID if math.gcd(N, K) == 1])
+
+
+def _matmul(ctx, X, Y):
+    """X Y, as dot products of the rows of X with the columns of Y."""
+    columns = [list(col) for col in zip(*Y)]
+    return [list(row) for row in
+            _packed_dot(_PackedRows(ctx, X), _PackedRows(ctx, columns))]
+
+
+def _dual_index(data) -> list:
+    """The index of the dual of each label: C as a permutation.  A reduced
+    dual is mapped to the representative of its orbit."""
+    N = data.N
+    if data.theory != "reduced":
+        return [data.index(star_involution(lab, N)) for lab in data.labels]
+    rep = orbit_representatives(N, data.K, data.alpha, data.beta)[1]
+    return [data.index(rep[star_involution(lab, N, data.alpha)])
+            for lab in data.labels]
+
+
+def _s_twisted_cubed(data, twists):
+    ctx = data.ctx
+    st = [[x * t for x, t in zip(row, twists)] for row in data.s_matrix]
+    return _matmul(ctx, _matmul(ctx, st, st), st)
+
+
+@pytest.mark.parametrize("N,K,theory", REPRESENTATION_CASES)
+def test_s_squared_is_omega_times_charge_conjugation(N, K, theory):
+    data = build_modular_data(N, K, theory)
+    dual = _dual_index(data)
+    zero = data.ctx.zero()
+    for i, row in enumerate(_matmul(data.ctx, data.s_matrix, data.s_matrix)):
+        for j, x in enumerate(row):
+            assert x == (data.omega if j == dual[i] else zero), (i, j)
+
+
+@pytest.mark.parametrize("N,K,theory", REPRESENTATION_CASES)
+def test_s_t_inverse_cubed_is_delta_minus_s_squared(N, K, theory):
+    data = build_modular_data(N, K, theory)
+    # a twist is a root of unity: T^-1 = diag(conj(theta))
+    cube = _s_twisted_cubed(data, [t.conjugate() for t in data.twists])
+    s2 = _matmul(data.ctx, data.s_matrix, data.s_matrix)
+    assert cube == [[data.delta_minus * x for x in row] for row in s2]
+
+
+@pytest.mark.parametrize("N,K", [(3, 2), (3, 3), (4, 2), (3, 4)])
+def test_s_t_cubed_is_not_delta_plus_s_squared(N, K):
+    # the convention check: with T = diag(theta) itself the relation
+    # (S T)^3 = Delta_+ S^2 fails, so T enters the representation inverted
+    data = build_modular_data(N, K, "su")
+    s2 = _matmul(data.ctx, data.s_matrix, data.s_matrix)
+    assert _s_twisted_cubed(data, data.twists) != \
+        [[data.delta_plus * x for x in row] for row in s2]

@@ -518,6 +518,17 @@ def test_reduction_gap_both_even():
     assert not rep["ok"]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "at coprime (N, K) with N and K odd and K >= 3 the reduced theory pins "
+    "its s to -s^-1 (s of the full theory), where -s makes the check pass; "
+    "tau_su / (tau_u1 tau_reduced) on u1 at (3, 5) is i"))
+def test_reduction_formula_odd_coprime():
+    su = build_modular_data(3, 5, "su")
+    red = build_modular_data(3, 5, "reduced")
+    assert reduction_check(single_vertex(1), 3, 5,
+                           su_data=su, red_data=red)["ok"]
+
+
 def test_reduced_equals_degree_zero_when_coprime():
     # with gcd(N, K) = 1 the reduced invariant matches the degree-zero one
     # and the abelian factor is trivial on these manifolds
