@@ -154,18 +154,8 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
     N, M = ctx.N, ctx.M
     rho = list(range(N - 1, -1, -1))
     c = _alternant(ctx, [2 * ctx.s_exp * r for r in rho], rho).invert()
-    # c zeta^k for k < M, each the last times zeta; zeta is a unit, so all
-    # share the denominator of c
-    scaled = []
-    vec = list(c.nums)
-    for _ in range(M):
-        scaled.append(CycScalar(ctx, tuple(vec), c.den))
-        top = vec[-1]
-        vec = [0] + vec[:-1]
-        if top:
-            for i, p in ctx._phi_tail:
-                vec[i] += top * p
-    powers = _PackedRows(ctx, [scaled])
+    powers = _PackedRows(ctx, [[CycScalar(ctx, vec, c.den)
+                                for vec in ctx._zeta_multiples(c.nums)]])
     width = (math.factorial(N) * powers.bound).bit_length() + 1
 
     parts = []  # (column power, size, l, 2 s_exp l) per label

@@ -255,19 +255,13 @@ def _abelian_gauss_sum(g: PlumbingGraph, su_data: ModularData,
 def u1_invariant(g: PlumbingGraph, su_data: ModularData,
                  red_data: ModularData):
     """(Delta/delta)^(-sigma) (eta/eta~)^m sum_{j in (Z/N')^m} zeta^(jBj),
-    with B the linking matrix of g, evaluated in the complex embedding."""
+    with B the linking matrix of g, evaluated in the complex embedding: the
+    Gauss sum under the su normalization over 1 under the reduced one."""
     m, sigma = _signature(g)
     gauss = _abelian_gauss_sum(g, su_data, red_data)
     with mpmath.workdps(MIN_PRECISION + 15):
-        big_delta = ExtScalar(su_data.delta_plus, 1, "su",
-                              su_data.omega).embed()
-        small_delta = ExtScalar(red_data.delta_plus, 1, "reduced",
-                                red_data.omega).embed()
-        eta = 1 / mpmath.sqrt(su_data.omega.embed().real)
-        eta_red = 1 / mpmath.sqrt(red_data.omega.embed().real)
-        value = (big_delta / small_delta) ** (-sigma) \
-            * (eta / eta_red) ** m * gauss.embed()
-    return value
+        return _normalized(gauss, sigma, m, su_data).embed() \
+            / _normalized(red_data.ctx.one(), sigma, m, red_data).embed()
 
 
 # ---------------------------------------------------------------------------

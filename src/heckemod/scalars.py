@@ -106,15 +106,8 @@ class RingContext:
                                enumerate(self.cyclotomic_poly[:-1]) if c)
         # zeta^k in the power basis, as sparse (index, coefficient) terms,
         # for k = 0 .. M-1; conjugation and zeta() read this table
-        terms = []
-        vec = [1] + [0] * deg
-        for _ in range(M):
-            top = vec[deg]
-            if top:
-                for i, p in self._phi_tail:
-                    vec[i] += top * p
-            terms.append(tuple((i, c) for i, c in enumerate(vec[:deg]) if c))
-            vec = [0] + vec[:deg]
+        terms = [tuple((i, c) for i, c in enumerate(vec) if c)
+                 for vec in self._zeta_multiples((1,) + (0,) * (deg - 1))]
         self._zeta_terms = tuple(terms)
         self._conj_terms = tuple(terms[-k % M] for k in range(deg))
         self._zeta_pows: dict[int, CycScalar] = {}
@@ -125,6 +118,20 @@ class RingContext:
         self.symmetrizers: dict = {}
         self._zero = CycScalar(self, (0,) * deg)
         self._one = self.from_rational(1)
+
+    def _zeta_multiples(self, nums) -> Iterable[tuple]:
+        """The numerators of x zeta^k for k = 0 .. M-1, x the element with
+        numerators ``nums``: each is the last times zeta, its coefficient
+        of x^deg folded down through Phi_M.  zeta is a unit, so all share
+        the denominator of x."""
+        vec = list(nums)
+        for _ in range(self.M):
+            yield tuple(vec)
+            top = vec[-1]
+            vec = [0] + vec[:-1]
+            if top:
+                for i, p in self._phi_tail:
+                    vec[i] += top * p
 
     # -- construction -----------------------------------------------------
 
@@ -447,15 +454,34 @@ class CycScalar:
 
 
 # ---------------------------------------------------------------------------
-# dot products of scalar rows by Kronecker substitution
+# the packed-integer format, and dot products of scalar rows by Kronecker
+# substitution
 # ---------------------------------------------------------------------------
+
+def _common_den(xs) -> tuple[list, int]:
+    """The numerator vectors of the scalars ``xs`` over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*(x.den for x in xs))
+    return [x.nums if x.den == den
+            else tuple(c * (den // x.den) for c in x.nums)
+            for x in xs], den
+
+
+def _pack(vec, width: int) -> int:
+    """The integer polynomial with coefficients ``vec`` (ascending) at
+    2^width: coefficient i in the signed field of ``width`` bits at bit
+    i * width."""
+    acc = 0
+    for c in reversed(vec):
+        acc = (acc << width) + c
+    return acc
+
 
 class _PackedRows:
     """Rows of scalars of one field, each row put over one common
     denominator, ready for :func:`_packed_dot`.
 
-    At width b an entry with numerators c_0 .. c_(deg-1) packs into the one
-    integer sum c_i 2^(b*i), its polynomial evaluated at 2^b.  The packing is
+    Each entry packs into one integer (:func:`_pack`).  The packing is
     kept, so rows that take part in many dot products (conj(S) in fusion)
     are repacked only when a product needs a wider field.
     """
@@ -470,10 +496,7 @@ class _PackedRows:
         self.length = 0
         bound = 0
         for row in rows:
-            den = math.lcm(*(x.den for x in row))
-            vecs = [x.nums if x.den == den
-                    else tuple(c * (den // x.den) for c in x.nums)
-                    for x in row]
+            vecs, den = _common_den(row)
             for v in vecs:
                 bound = max(bound, max(v), -min(v))
             self.nums.append(vecs)
@@ -486,16 +509,7 @@ class _PackedRows:
     def at(self, width: int) -> list:
         """The packed rows at the given width."""
         if width != self.width:
-            packed = []
-            for row in self.nums:
-                out = []
-                for v in row:
-                    acc = 0
-                    for c in reversed(v):
-                        acc = (acc << width) + c
-                    out.append(acc)
-                packed.append(out)
-            self.packed = packed
+            self.packed = [[_pack(v, width) for v in row] for row in self.nums]
             self.width = width
         return self.packed
 
@@ -506,18 +520,18 @@ def _field_bias(count: int, width: int) -> int:
     return (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
 
 
-def _unpack(v: int, count: int, width: int) -> list[int]:
-    """The lowest ``count`` coefficients of a packed integer, lowest first,
-    exact when each lies strictly between -2^(width-1) and 2^(width-1)."""
+def _from_packed(ring: RingContext, v: int, count: int, width: int,
+                 den: int) -> CycScalar:
+    """The scalar of ``ring`` whose numerators over ``den``, before
+    reduction modulo Phi_M, are the lowest ``count`` signed fields of the
+    packed integer ``v`` (count <= 2*deg - 1), exact when each field lies
+    strictly between -2^(width-1) and 2^(width-1)."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     # adding half to every field makes each one a nonnegative digit
     v += _field_bias(count, width)
-    out = []
-    for _ in range(count):
-        out.append((v & mask) - half)
-        v >>= width
-    return out
+    prod = [(v >> t & mask) - half for t in range(0, count * width, width)]
+    return _canonical(ring, _reduce_phi(ring, prod), den)
 
 
 def _packed_dot(xs: _PackedRows, ys: _PackedRows):
@@ -539,11 +553,8 @@ def _packed_dot(xs: _PackedRows, ys: _PackedRows):
     px, py = xs.at(width), ys.at(width)
     terms = 2 * deg - 1
     for xrow, dx in zip(px, xs.dens):
-        orow = []
-        for yrow, dy in zip(py, ys.dens):
-            prod = _unpack(sum(map(mul, xrow, yrow)), terms, width)
-            orow.append(_canonical(ring, _reduce_phi(ring, prod), dx * dy))
-        yield orow
+        yield [_from_packed(ring, sum(map(mul, xrow, yrow)), terms, width,
+                            dx * dy) for yrow, dy in zip(py, ys.dens)]
 
 
 def _packed_combination(xs: _PackedRows, weights, width: int) -> CycScalar:
@@ -556,8 +567,7 @@ def _packed_combination(xs: _PackedRows, weights, width: int) -> CycScalar:
     denominator.
     """
     v = sum(w * x for w, x in zip(weights, xs.at(width)[0]) if w)
-    ring = xs.ring
-    return _canonical(ring, tuple(_unpack(v, ring.degree, width)), xs.dens[0])
+    return _from_packed(xs.ring, v, xs.ring.degree, width, xs.dens[0])
 
 
 # ---------------------------------------------------------------------------

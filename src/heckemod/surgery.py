@@ -20,11 +20,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import lshift
 
 from .diagrams import ReducedLabel, YoungDiagram
 from .moddata import ModularData
-from .scalars import CycScalar, ExtScalar, ScalarError, _canonical, _reduce_phi
+from .scalars import (CycScalar, ExtScalar, ScalarError, _common_den,
+                      _from_packed, _pack)
 
 __all__ = [
     "PlumbingGraph",
@@ -137,9 +137,10 @@ def _check_color(vid, color) -> None:
 def parse_plumbing(document: dict) -> PlumbingGraph:
     """Build a validated plumbing forest from its JSON document.
 
-    Framings must be JSON integers (not booleans, floats or strings), link
-    colors as ``_check_color`` describes and each edge a list of two vertex
-    ids; anything else raises ScalarError naming the bad record.
+    Vertex ids must be JSON strings, framings JSON integers (not booleans,
+    floats or strings), link colors as ``_check_color`` describes and each
+    edge a list of two vertex ids; anything else raises ScalarError naming
+    the bad record.
     """
     if not isinstance(document, dict):
         raise ScalarError(
@@ -151,6 +152,8 @@ def parse_plumbing(document: dict) -> PlumbingGraph:
     for rec in records:
         if not isinstance(rec, dict) or "id" not in rec or "framing" not in rec:
             raise ScalarError(f"vertex record needs 'id' and 'framing': {rec!r}")
+        if not isinstance(rec["id"], str):
+            raise ScalarError(f"vertex id must be a string, got {rec!r}")
         framing = rec["framing"]
         if not _is_int(framing):
             raise ScalarError(f"framing of vertex {rec['id']!r} must be an "
@@ -158,16 +161,17 @@ def parse_plumbing(document: dict) -> PlumbingGraph:
         color = rec.get("link")
         if color is not None:
             _check_color(rec["id"], color)
-        vertices.append(PlumbingVertex(str(rec["id"]), framing,
+        vertices.append(PlumbingVertex(rec["id"], framing,
                                        color=None if color is None
                                        else dict(color)))
     edges = document.get("edges", [])
     if not isinstance(edges, list):
         raise ScalarError(f"'edges' must be a list, got {edges!r}")
     for edge in edges:
-        if not isinstance(edge, list) or len(edge) != 2:
+        if not isinstance(edge, list) or len(edge) != 2 \
+                or not all(isinstance(x, str) for x in edge):
             raise ScalarError(f"edge {edge!r} must be a list of two vertex ids")
-    return PlumbingGraph(vertices, [(str(u), str(v)) for u, v in edges])
+    return PlumbingGraph(vertices, [tuple(edge) for edge in edges])
 
 
 def plumbing_to_json(g: PlumbingGraph) -> dict:
@@ -349,14 +353,12 @@ def _eliminate(g: PlumbingGraph, weights: dict, matrix_terms,
     A vertex first divides its weights by their common rational content
     (the gcd of all numerators over the lcm of the denominators); the
     contents multiply into one exact scale, applied once to the result.
-    Its message to the parent label j, sum_i w_i * matrix[i][j], is then a
-    sum of shifted packed integers: each weight's numerators pack into one
-    integer at a width b (its polynomial at 2^b), and each nonzero term
-    s x^t of matrix[i][j] adds s times that integer shifted by t*b.  A
-    coefficient of the sum is at most (labels) * (most terms of an entry) *
-    max|s| * max|w| in absolute value, so b is that bound's bit length
-    plus a sign bit.  The sum is unpacked, reduced modulo Phi_M and put
-    over column j's denominator once per parent label.
+    Its message to the parent label j, sum_i w_i * matrix[i][j], is then
+    one packed integer: each nonzero term s x^t of matrix[i][j] adds s
+    times w_i packed and shifted by t fields.  A coefficient of the message
+    before reduction is at most (labels) * (most terms of an entry) *
+    max|s| * max|w| in absolute value, so the field width is that bound's
+    bit length plus a sign bit.
     """
     deg = ctx.degree
     total = ctx.one()
@@ -370,10 +372,7 @@ def _eliminate(g: PlumbingGraph, weights: dict, matrix_terms,
                 tree_sum = tree_sum + w
             total = total * tree_sum
             continue
-        den = math.lcm(*(w.den for w in own.values()))
-        vecs = [w.nums if w.den == den
-                else [x * (den // w.den) for x in w.nums]
-                for w in own.values()]
+        vecs, den = _common_den(own.values())
         content = 0
         for v in vecs:
             content = math.gcd(content, *v)
@@ -390,23 +389,17 @@ def _eliminate(g: PlumbingGraph, weights: dict, matrix_terms,
         # weight stay 0
         shifted = [0] * (rows * deg)
         for i, v in zip(own, vecs):
-            p = sum(map(lshift, v, shifts))
+            p = _pack(v, width)
             shifted[i * deg:(i + 1) * deg] = [p << t for t in shifts]
         get = shifted.__getitem__
-        # each coefficient of a message before reduction is a signed field
-        # of the sum; adding half to every field makes it a nonnegative digit
-        fields = range(0, (2 * deg - 1) * width, width)
-        half = 1 << (width - 1)
-        mask = (1 << width) - 1
-        bias = sum(half << t for t in fields)
         up = weights[parent]
         for j in up:
             col_den, by_coeff = columns[j]
-            acc = bias
+            acc = 0
             for s, places in by_coeff:
                 acc += s * sum(map(get, places))
-            prod = [(acc >> t & mask) - half for t in fields]
-            up[j] = up[j] * _canonical(ctx, _reduce_phi(ctx, prod), col_den)
+            up[j] = up[j] * _from_packed(ctx, acc, 2 * deg - 1, width,
+                                         col_den)
     return total * Fraction(scale_num, scale_den)
 
 
@@ -422,11 +415,9 @@ def _sparse_columns(matrix, deg: int):
     most_terms = max_coeff = 0
     columns = []
     for column in zip(*matrix):
-        col_den = math.lcm(*(x.den for x in column))
+        vecs, col_den = _common_den(column)
         by_coeff = {}
-        for base, x in zip(range(0, rows * deg, deg), column):
-            nums = x.nums if x.den == col_den else \
-                [c * (col_den // x.den) for c in x.nums]
+        for base, nums in zip(range(0, rows * deg, deg), vecs):
             terms = 0
             for t, s in enumerate(nums):
                 if s:

@@ -249,9 +249,17 @@ def test_usage_errors(capsys):
     {"vertices": [{"id": "a", "framing": 0, "link": {"lambda": "ab"}}]},
     {"vertices": [{"id": "a", "framing": 0, "link": {"lambda": [0]}}]},
     {"vertices": [{"id": "a", "framing": 0, "link": {"lambda": [1, 2]}}]},
+    {"vertices": [{"id": None, "framing": 0}]},
+    {"vertices": [{"id": True, "framing": 0}]},
+    {"vertices": [{"id": 1.5, "framing": 0}]},
+    {"vertices": [{"id": {"a": 1}, "framing": 0}]},
+    {"vertices": [{"id": "1", "framing": 0}, {"id": "a", "framing": 0}],
+     "edges": [[1, "a"]]},
+    {"vertices": [{"id": 1, "framing": 0}, {"id": "1", "framing": 0}]},
 ], ids=["float-framing", "bool-framing", "string-framing", "short-edge",
         "vertices-not-list", "document-not-object", "string-color-index",
-        "string-lambda", "zero-row", "increasing-rows"])
+        "string-lambda", "zero-row", "increasing-rows", "null-id", "bool-id",
+        "float-id", "object-id", "integer-endpoint", "integer-id"])
 def test_malformed_plumbing_exit(doc, tmp_path, capsys):
     # a malformed document is a computation error naming the bad record,
     # never a coerced value or a traceback

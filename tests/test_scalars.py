@@ -340,6 +340,13 @@ def test_invert_matches_fraction_reference(deg):
 @pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
 def test_conjugate_matches_fraction_reference(deg):
     ctx = ORACLE_RINGS[deg]
+    M = ctx.M
+    # zeta^k as x^k mod Phi_M; one recurrence builds zeta(), the table that
+    # conjugation reads and the multiples x zeta^k of the S build
+    powers = [_ref_reduce(ctx.cyclotomic_poly, [0] * k + [1])
+              for k in range(M)]
+    assert [list(ctx.zeta(k).coeffs) for k in range(M)] == powers
+    powers = [[int(c) for c in p] for p in powers]  # Phi_M is monic
 
     @oracle
     @given(_scalars(deg))
@@ -348,6 +355,11 @@ def test_conjugate_matches_fraction_reference(deg):
         _assert_canonical(conj)
         assert list(conj.coeffs) == _ref_conjugate(ctx.cyclotomic_poly,
                                                    ctx.M, x.coeffs)
+        # x zeta^k = sum_i x_i zeta^(i + k), over the denominator of x
+        want = [tuple(sum(c * powers[(i + k) % M][t]
+                          for i, c in enumerate(x.nums))
+                      for t in range(deg)) for k in range(M)]
+        assert list(ctx._zeta_multiples(x.nums)) == want
 
     check()
 
