@@ -12,6 +12,7 @@ other to the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -489,7 +490,11 @@ def cmd_verify(args) -> tuple[dict, bool]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it:
+    its configuration never changes and each ``parse_args`` returns a
+    fresh namespace."""
     parser = _Parser(prog="heckemod",
                      description="Exact quantum invariants of plumbed "
                                  "3-manifolds at rank N, level K")
@@ -538,9 +543,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,8 +8,10 @@ cyclic action whose orbit representatives label the reduced theory.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .scalars import CycScalar, RingContext, ScalarError
 
@@ -137,17 +139,31 @@ def enumerate_sector(N: int, K: int, sector: str, alpha: int | None = None):
 # ---------------------------------------------------------------------------
 
 def quantum_dimension(ctx: RingContext, label) -> CycScalar:
-    """Hook-content product over cells: prod [N + cn(c)] / [hl(c)]."""
+    """Hook-content product over cells: prod [N + cn(c)] / [hl(c)].
+
+    Every cell's hook is checked in cell order before anything cancels.
+    Numerators and hooks are then counted as one net exponent per quantum
+    integer, so equal factors cancel and [1] drops out; what is left of
+    the denominator, if anything, is inverted once."""
     lam = label.diagram if isinstance(label, ReducedLabel) else label
-    num = den = ctx.one()
+    qint = {}  # n -> [n], built once per distinct integer
+    expo = Counter()  # n -> net exponent of [n]
     for (i, j), hl in zip(lam.cells(), lam.hook_lengths()):
-        hook = ctx.quantum_integer(hl)
+        hook = qint.get(hl)
+        if hook is None:
+            hook = qint[hl] = ctx.quantum_integer(hl)
         if hook.is_zero():
             raise ScalarError(
                 f"hook length {hl} at cell ({i},{j}) of {lam} is not invertible")
-        num = num * ctx.quantum_integer(ctx.N + lam.content(i, j))
-        den = den * hook
-    return num * den.invert()
+        expo[ctx.N + lam.content(i, j)] += 1
+        expo[hl] -= 1
+    num, den = [], []
+    for n, e in expo.items():
+        if e and n != 1:
+            q = qint[n] if n in qint else ctx.quantum_integer(n)
+            (num if e > 0 else den).extend([q] * abs(e))
+    value = reduce(mul, num) if num else ctx.one()
+    return value * reduce(mul, den).invert() if den else value
 
 
 def quantum_dimension_general(ctx: RingContext, lam: YoungDiagram) -> CycScalar:

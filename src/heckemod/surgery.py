@@ -310,7 +310,10 @@ def _candidate_lists(g: PlumbingGraph, data: ModularData, degree_filter):
         key = (i, dim_exp, framing)
         w = table.get(key)
         if w is None:
-            w = table[key] = data.dims[i] ** dim_exp * data.twists[i] ** framing
+            theta = data.twists[i]
+            if framing < 0:  # a root of unity: its conjugate is its inverse
+                theta, framing = theta.conjugate(), -framing
+            w = table[key] = data.dims[i] ** dim_exp * theta ** framing
         return w
 
     cands = {}

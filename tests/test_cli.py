@@ -321,22 +321,59 @@ def test_failed_construction_identity_is_fatal(monkeypatch, tmp_path, capsys):
 # python -m heckemod
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv", [
-    ["modular-data", "2", "3"],
-    # the degenerate psu theory exits 3 and still writes its document
-    ["modular-data", "3", "3", "--theory", "psu"]])
-def test_python_m_matches_in_process_main(argv, tmp_path, capsys):
+def run_module(argv):
+    """``python -m heckemod *argv`` in a fresh interpreter on this source
+    tree: (exit code, stdout bytes, stderr text)."""
     import heckemod
     src = str(Path(heckemod.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "heckemod", *argv],
+                          env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def first_line(text):
+    return text.split("\n", 1)[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular-data", "2", "3"],
+    # the degenerate psu theory exits 3 and still writes its document
+    ["modular-data", "3", "3", "--theory", "psu"],
+    # usage errors raised inside argparse: a bad choice, a missing option
+    ["modular-data", "2", "3", "--theory", "sl"],
+    ["homfly", "2", "3"]])
+def test_python_m_matches_in_process_main(argv, tmp_path, capsys):
     sub = tmp_path / "sub.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "heckemod", *argv, "--json", str(sub)],
-        env=env, capture_output=True, timeout=120)
+    sub_code, sub_out, sub_err = run_module([*argv, "--json", str(sub)])
     own = tmp_path / "own.json"
     code = main([*argv, "--json", str(own)])
-    capsys.readouterr()
-    assert proc.returncode == code
-    assert sub.read_bytes() == own.read_bytes()
+    captured = capsys.readouterr()
+    assert sub_code == code
+    assert sub_out == captured.out.encode()
+    assert first_line(sub_err) == first_line(captured.err)
+    assert sub.exists() == own.exists()
+    if own.exists():
+        assert sub.read_bytes() == own.read_bytes()
+
+
+def test_in_process_sequence_matches_each_call_alone(capsys):
+    # the parser is shared by every main() call of a process: no call may
+    # see state left by an earlier one, whether it failed or not
+    u0 = manifest_path("u0")
+    sequence = [
+        (["modular-data", "2", "3", "--theory", "sl"], 1),
+        (["modular-data", "2", "3"], 0),
+        (["invariant", "--manifold", u0, "2", "2", "--theory", "psu"], 2),
+        (["invariant", "--manifold", u0, "2", "2"], 0),
+        (["verify", "2", "2"], 0),
+    ]
+    for argv, want in sequence:
+        code = main(argv)
+        captured = capsys.readouterr()
+        alone = run_module(argv)
+        assert code == want == alone[0]
+        assert captured.out.encode() == alone[1]
+        assert first_line(captured.err) == first_line(alone[2])

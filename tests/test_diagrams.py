@@ -15,7 +15,7 @@ from heckemod.diagrams import (
     twist_coefficient,
     zn_action,
 )
-from heckemod.scalars import solve_framing_reduced, su_parameters
+from heckemod.scalars import ScalarError, solve_framing_reduced, su_parameters
 
 
 def brute_force_tableau_count(lam: YoungDiagram) -> int:
@@ -105,11 +105,43 @@ def test_full_columns_have_dimension_one(N, K):
         assert quantum_dimension(ctx, lam) == ctx.one()
 
 
-@pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 4)])
+def hook_content_product(ctx, lam: YoungDiagram):
+    """prod [N + cn(c)] / prod [hl(c)] with every factor multiplied out and
+    nothing cancelled: the oracle for the cancelling product."""
+    num = den = ctx.one()
+    for (i, j), hl in zip(lam.cells(), lam.hook_lengths()):
+        num = num * ctx.quantum_integer(ctx.N + lam.content(i, j))
+        den = den * ctx.quantum_integer(hl)
+    return num * den.invert()
+
+
+RANK_LEVELS_TO_8 = [(N, K) for N in range(2, 8) for K in range(1, 9 - N)]
+
+
+@pytest.mark.parametrize("N,K", RANK_LEVELS_TO_8)
 def test_dimension_forms_agree(N, K):
-    ctx = su_parameters(N, K)
-    for lam in enumerate_sector(N, K, "bar"):
-        assert quantum_dimension(ctx, lam) == quantum_dimension_general(ctx, lam)
+    # every su label (and the full columns of the N x K box) in the su
+    # field, then every reduced label in the reduced field
+    alpha, beta, red_ctx = solve_framing_reduced(N, K)
+    reps, _ = orbit_representatives(N, K, alpha, beta)
+    cases = [(su_parameters(N, K), lam) for lam in enumerate_sector(N, K, "bar")]
+    cases += [(red_ctx, lab) for lab in reps]
+    for ctx, label in cases:
+        lam = label.diagram if isinstance(label, ReducedLabel) else label
+        value = quantum_dimension(ctx, label)
+        assert value == quantum_dimension_general(ctx, lam)
+        assert value == hook_content_product(ctx, lam)
+
+
+@pytest.mark.parametrize("rows,cell", [((3,), "(0,0)"), ((4,), "(0,1)")])
+def test_zero_hook_raises_before_cancelling(rows, cell):
+    # at su(2,1) the hook [3] vanishes; in (3) it is also a content factor
+    # [N + 1], so cancelling before the check would return [4] silently
+    lam = YoungDiagram(rows)
+    with pytest.raises(ScalarError) as info:
+        quantum_dimension(su_parameters(2, 1), lam)
+    assert str(info.value) == \
+        f"hook length 3 at cell {cell} of {lam} is not invertible"
 
 
 @pytest.mark.parametrize("N,K", [(2, 2), (3, 2), (2, 3), (3, 3)])
