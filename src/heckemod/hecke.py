@@ -12,6 +12,7 @@ dimensions, twists, and eigenvalues used elsewhere.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .diagrams import YoungDiagram
@@ -288,7 +289,9 @@ def homfly_braid_closure(word, n: int, ring: RingContext) -> CycScalar:
 # ---------------------------------------------------------------------------
 
 def symmetrizer(n: int, kind: str, ring: RingContext) -> HeckeElement:
-    """The deformed symmetrizer f_n (kind 'f') or antisymmetrizer g_n ('g')."""
+    """The deformed symmetrizer f_n (kind 'f') or antisymmetrizer g_n ('g'),
+    as the length-generating sum [n]!^-1 s^-+n(n-1)/2 sum_p u^-l(p) w_p with
+    u = a s^-1 for f and u = -a s for g (Aiston-Morton), built once per ring."""
     if kind not in ("f", "g"):
         raise ScalarError("kind must be 'f' or 'g'")
     if n < 1:
@@ -296,56 +299,18 @@ def symmetrizer(n: int, kind: str, ring: RingContext) -> HeckeElement:
     for j in range(2, n + 1):
         if not ring.quantum_integer_invertible(j):
             raise ScalarError(f"[{j}] is not invertible; cannot build the symmetrizer")
-    return _symmetrizer_cached(n, kind, ring)
-
-
-def _f2(ring: RingContext) -> HeckeElement:
-    inv2 = ring.quantum_integer(2).invert()
-    one2 = HeckeElement.identity(2, ring)
-    sig = HeckeElement.generator(0, 2, ring)
-    return (ring.s(-1) * inv2) * one2 + (ring.a(-1) * inv2) * sig
-
-
-def _symmetrizer_cached(n: int, kind: str, ring: RingContext) -> HeckeElement:
-    key = (n, kind)
     cache = ring.symmetrizers
-    if key in cache:
-        return cache[key]
-    if n == 1:
-        val = HeckeElement.identity(1, ring)
-    elif kind == "f":
-        prev = _symmetrizer_cached(n - 1, "f", ring)
-        f2 = _f2(ring).tensor_left(n - 2)
-        fp = prev.tensor_right(1)
-        qn = ring.quantum_integer(n - 1)
-        coef1 = (-1) * ring.quantum_integer(n - 2) * ring.quantum_integer(n).invert()
-        coef2 = ring.quantum_integer(2) * qn * ring.quantum_integer(n).invert()
-        val = coef1 * fp + coef2 * (fp * f2 * fp)
-    else:
-        prev = _symmetrizer_cached(n - 1, "g", ring)
-        f2 = _f2(ring).tensor_right(n - 2)
-        gp = prev.tensor_left(1)
-        coef = ring.quantum_integer(2) * ring.quantum_integer(n - 1) \
-            * ring.quantum_integer(n).invert()
-        val = gp - coef * (gp * f2 * gp)
-    cache[key] = val
-    return val
-
-
-def symmetrizer_explicit(n: int, kind: str, ring: RingContext) -> HeckeElement:
-    """Length-generating-sum form, used as a cross-check for small n."""
-    import itertools
-    fact_inv = ring.quantum_factorial(n).invert()
-    if kind == "f":
-        front = ring.s(-(n * (n - 1) // 2))
-        unit = (ring.a() * ring.s(-1)).invert()
-    else:
-        front = ring.s(n * (n - 1) // 2)
-        unit = (ring.from_rational(-1) * ring.a() * ring.s()).invert()
-    terms = {}
-    for p in itertools.permutations(range(n)):
-        terms[p] = fact_inv * front * unit ** perm_length(p)
-    return HeckeElement(n, ring, terms)
+    if (n, kind) not in cache:
+        sign = -1 if kind == "f" else 1
+        top = n * (n - 1) // 2
+        unit = (ring.from_rational(-sign) * ring.a() * ring.s(sign)).invert()
+        powers = [ring.quantum_factorial(n).invert() * ring.s(sign * top)]
+        for _ in range(top):
+            powers.append(powers[-1] * unit)
+        cache[n, kind] = HeckeElement(n, ring, {
+            p: powers[perm_length(p)]
+            for p in itertools.permutations(range(n))})
+    return cache[n, kind]
 
 
 # ---------------------------------------------------------------------------

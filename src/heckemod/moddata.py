@@ -215,11 +215,10 @@ class ModularData:
     report: dict
     alpha: int | None = None
     beta: int | None = None
-    # conj(S), the same packed for dot products, omega^-1 / <k> for fusion,
+    # conj(S) packed for dot products, omega^-1 / <k> for fusion,
     # the surgery weights <c>^e theta_c^f by (label index, e, f) and the
     # sparse term table of S read by the leaf elimination; all live as long
     # as this data
-    s_conj: list = field(init=False, repr=False, compare=False)
     _s_conj_packed: _PackedRows = field(
         init=False, repr=False, compare=False)
     _fusion_scale: list | None = field(
@@ -230,8 +229,8 @@ class ModularData:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.s_conj = [[x.conjugate() for x in row] for row in self.s_matrix]
-        self._s_conj_packed = _PackedRows(self.ctx, self.s_conj)
+        self._s_conj_packed = _PackedRows(
+            self.ctx, ([x.conjugate() for x in row] for row in self.s_matrix))
 
     def index(self, label) -> int:
         return self.labels.index(label)

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .moddata import ModularData, build_modular_data
+from .moddata import ModularData
 from .scalars import MIN_PRECISION, CycScalar, ExtScalar, ScalarError
 from .surgery import (PlumbingGraph, PlumbingVertex, _eliminate,
                       _normalized, _signature, _sparse_columns,
-                      colored_bracket, tau)
+                      colored_bracket, single_vertex, tau)
 
 __all__ = [
     "SpinStructureSet",
@@ -225,14 +225,9 @@ def u1_root_of_unity(su_data: ModularData, beta: int) -> CycScalar:
 
 
 def u1_gauss_unit(su_data: ModularData, red_data: ModularData) -> CycScalar:
-    """The one-dimensional Gauss sum sum_{j in Z/N'} zeta^(j^2)."""
-    ctx = su_data.ctx
-    n_prime = su_data.N // su_data.grading_modulus
-    zeta = u1_root_of_unity(su_data, red_data.beta)
-    total = ctx.zero()
-    for j in range(n_prime):
-        total = total + zeta ** (j * j)
-    return total
+    """The one-dimensional Gauss sum sum_{j in Z/N'} zeta^(j^2): the abelian
+    sum of the +1-framed unknot."""
+    return _abelian_gauss_sum(single_vertex(1), su_data, red_data)
 
 
 def _abelian_gauss_sum(g: PlumbingGraph, su_data: ModularData,
@@ -268,14 +263,12 @@ def u1_invariant(g: PlumbingGraph, su_data: ModularData,
 # the factorization check
 # ---------------------------------------------------------------------------
 
-def reduction_check(g: PlumbingGraph, N: int, K: int,
-                    su_data: ModularData | None = None,
-                    red_data: ModularData | None = None) -> dict:
-    """Compare tau_su(M) with tau_u1(M, zeta) * tau_reduced(M) numerically."""
-    if su_data is None:
-        su_data = build_modular_data(N, K, "su")
-    if red_data is None:
-        red_data = build_modular_data(N, K, "reduced")
+def reduction_check(g: PlumbingGraph, N: int, K: int, su_data: ModularData,
+                    red_data: ModularData) -> dict:
+    """Compare tau_su(M) with tau_u1(M, zeta) * tau_reduced(M) numerically,
+    on the su and reduced data built at (N, K)."""
+    if {(su_data.N, su_data.K), (red_data.N, red_data.K)} != {(N, K)}:
+        raise ScalarError(f"reduction_check needs the data built at ({N}, {K})")
     lhs = tau(g, su_data).value.embed()
     u1 = u1_invariant(g, su_data, red_data)
     reduced = tau(g, red_data).value.embed()

@@ -271,6 +271,21 @@ def test_malformed_plumbing_exit(doc, tmp_path, capsys):
     assert captured.err.startswith("computation error:")
 
 
+@pytest.mark.parametrize("content", [
+    b'{"vertices": [{"id": "\xff", "framing": 0}]}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"vertices": [{"id": "a", "framing": ' + b"1" * 5000 + b"}]}",
+], ids=["not-utf8", "nested-100000-deep", "integer-5000-digits"])
+def test_undecodable_manifold_exit(content, tmp_path, capsys):
+    # a file that json cannot decode is a usage error, never a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["invariant", "--manifold", str(path), "2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+
+
 def test_computation_error_exit(capsys):
     # a spin rank-level has no degree-zero invariant
     assert main(["invariant", "--manifold", manifest_path("u0"), "2", "2",

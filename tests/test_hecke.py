@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from heckemod.diagrams import YoungDiagram, quantum_dimension, twist_coefficient
 from heckemod.hecke import (
     HeckeElement,
+    StandardTableau,
     _quadratic,
     _step,
     braid_word_to_element,
@@ -21,12 +22,12 @@ from heckemod.hecke import (
     homfly_braid_closure,
     jucys_murphy,
     path_idempotent,
+    perm_length,
     quantum_hook_product,
     reduced_word,
     standard_tableaux,
     standard_tableaux_of_shape,
     symmetrizer,
-    symmetrizer_explicit,
     young_quasi_idempotent,
 )
 from heckemod.scalars import ScalarError, su_parameters
@@ -157,10 +158,51 @@ def test_symmetrizer_eigenvalues(ctx, n):
         assert sig * gn == (ctx.from_rational(-1) * ctx.a() * ctx.s(-1)) * gn
 
 
+def _recursive_symmetrizer(n, kind, ring):
+    # Aiston-Morton recursion from f_2 = [2]^-1 (s^-1 + a^-1 sigma):
+    # f_n = -[n-2]/[n] f' + [2][n-1]/[n] f' f_2 f' with f' = f_{n-1} (x) 1,
+    # g_n = g' - [2][n-1]/[n] g' f_2 g' with g' = 1 (x) g_{n-1}
+    if n == 1:
+        return HeckeElement.identity(1, ring)
+    q = ring.quantum_integer
+    f2 = (q(2).invert() * ring.s(-1)) * HeckeElement.identity(2, ring) \
+        + (q(2).invert() * ring.a(-1)) * HeckeElement.generator(0, 2, ring)
+    coef = q(2) * q(n - 1) * q(n).invert()
+    prev = _recursive_symmetrizer(n - 1, kind, ring)
+    if kind == "f":
+        fp, f2 = prev.tensor_right(1), f2.tensor_left(n - 2)
+        return ((-1) * q(n - 2) * q(n).invert()) * fp + coef * (fp * f2 * fp)
+    gp, f2 = prev.tensor_left(1), f2.tensor_right(n - 2)
+    return gp - coef * (gp * f2 * gp)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_symmetrizer_explicit_sum(ctx, n):
-    assert symmetrizer(n, "f", ctx) == symmetrizer_explicit(n, "f", ctx)
-    assert symmetrizer(n, "g", ctx) == symmetrizer_explicit(n, "g", ctx)
+    # the closed-form sum, written term by term through generator products,
+    # agrees with the recursive construction
+    top = n * (n - 1) // 2
+    for kind, sign in (("f", -1), ("g", 1)):
+        unit = ctx.from_rational(-sign) * ctx.a() * ctx.s(sign)
+        explicit = HeckeElement(n, ctx, {})
+        for p in itertools.permutations(range(n)):
+            wp = braid_word_to_element([i + 1 for i in reduced_word(p)], n, ctx)
+            explicit = explicit + unit.invert() ** perm_length(p) * wp
+        explicit = (ctx.quantum_factorial(n).invert() * ctx.s(sign * top)) * explicit
+        assert symmetrizer(n, kind, ctx) == explicit
+        assert symmetrizer(n, kind, ctx) == _recursive_symmetrizer(n, kind, ctx)
+
+
+@pytest.mark.parametrize("N,K,top", [(2, 3, 4), (3, 2, 4), (3, 3, 4),
+                                     (2, 5, 4), (4, 2, 4), (2, 2, 3)])
+def test_symmetrizer_is_row_and_column_path_idempotent(N, K, top):
+    # f_n and g_n are the Jucys-Murphy path idempotents of the one-row and
+    # the one-column tableau, which do not use the length-generating sum
+    ring = su_parameters(N, K)
+    for n in range(1, top + 1):
+        row = StandardTableau(tuple((0, j) for j in range(n)))
+        column = StandardTableau(tuple((i, 0) for i in range(n)))
+        assert symmetrizer(n, "f", ring) == path_idempotent(row, ring)
+        assert symmetrizer(n, "g", ring) == path_idempotent(column, ring)
 
 
 def test_symmetrizer_cache_dies_with_its_ring():

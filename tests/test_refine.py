@@ -481,6 +481,9 @@ def test_walked_gauss_sum_matches_explicit_sum(NK):
         assert _abelian_gauss_sum(g, su, red) == \
             explicit_gauss_sum(B, zeta, n_prime, su.ctx), (NK, g)
     assert links > 0
+    # the +1-framed unknot: the one-dimensional Gauss sum sum_j zeta^(j^2)
+    assert u1_gauss_unit(su, red) == \
+        explicit_gauss_sum([[1]], zeta, n_prime, su.ctx)
 
 
 TREE5 = {
@@ -516,6 +519,8 @@ def test_reduction_gap_both_even():
                            su_data=su, red_data=red)["ok"]
     rep = reduction_check(single_vertex(-2), 4, 2, su_data=su, red_data=red)
     assert not rep["ok"]
+    with pytest.raises(ScalarError, match="built at"):
+        reduction_check(single_vertex(1), 2, 4, su_data=su, red_data=red)
 
 
 @pytest.mark.xfail(strict=True, reason=(
