@@ -177,9 +177,11 @@ def quantum_dimension_general(ctx: RingContext, lam: YoungDiagram) -> CycScalar:
     return total
 
 
-def twist_coefficient(ctx: RingContext, label) -> CycScalar:
-    """Framing coefficient a^(|lam|^2) v^(-|lam|) s^(2 sum cn); the reduced
-    label (i, lam) picks up the crossing factor of the column object."""
+def twist_exponent(ctx: RingContext, label) -> int:
+    """The k, 0 <= k < M, with theta = zeta^k: the framing coefficient
+    a^(|lam|^2) v^(-|lam|) s^(2 sum cn) is a root of unity, so its exponent
+    is a closed form in the exponents of a, v and s; the reduced label
+    (i, lam) adds the crossing factor of the column object."""
     if isinstance(label, ReducedLabel):
         i, lam = label.i, label.diagram
         N = ctx.N
@@ -187,11 +189,15 @@ def twist_coefficient(ctx: RingContext, label) -> CycScalar:
         # of 1^N is its N-th power, and i columns cross each other and lam
         cross = ctx.a_exp * N + ctx.s_exp
         expo = N * i + 2 * N * (i * (i - 1) // 2) + 2 * i * lam.size
-        return ctx.zeta(cross * expo) * twist_coefficient(ctx, lam)
-    lam = label
-    n = lam.size
-    return ctx.zeta((ctx.a_exp * n * n - ctx.v_exp * n
-                     + 2 * ctx.s_exp * lam.content_sum()) % ctx.M)
+        return (cross * expo + twist_exponent(ctx, lam)) % ctx.M
+    n = label.size
+    return (ctx.a_exp * n * n - ctx.v_exp * n
+            + 2 * ctx.s_exp * label.content_sum()) % ctx.M
+
+
+def twist_coefficient(ctx: RingContext, label) -> CycScalar:
+    """The twist theta = zeta^twist_exponent(ctx, label)."""
+    return ctx.zeta(twist_exponent(ctx, label))
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,19 @@ class ModularData:
     report: dict
     alpha: int | None = None
     beta: int | None = None
-    # conj(S) packed for dot products, omega^-1 / <k> for fusion,
-    # the surgery weights <c>^e theta_c^f by (label index, e, f) and the
-    # sparse term table of S read by the leaf elimination; all live as long
-    # as this data
+    # conj(S) packed for dot products, omega^-1 / <k> for fusion; for the
+    # leaf elimination the label indices of each degree residue mod d
+    # (None: all labels), the surgery vertex weights by (labels, e,
+    # f mod M), the messages of leaves by (that key, the parent's labels)
+    # and the sparse term table of S; all live as long as this data
     _s_conj_packed: _PackedRows = field(
         init=False, repr=False, compare=False)
     _fusion_scale: list | None = field(
         default=None, init=False, repr=False, compare=False)
+    _labels_by_residue: dict = field(init=False, repr=False, compare=False)
     _weight_table: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _leaf_messages: dict = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _s_terms: tuple | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -231,6 +235,11 @@ class ModularData:
     def __post_init__(self):
         self._s_conj_packed = _PackedRows(
             self.ctx, ([x.conjugate() for x in row] for row in self.s_matrix))
+        d = self.grading_modulus
+        residues = [self.degree(lab) % d for lab in self.labels]
+        self._labels_by_residue = {None: tuple(range(len(self.labels)))} | {
+            r: tuple(i for i, x in enumerate(residues) if x == r)
+            for r in range(d)}
 
     def index(self, label) -> int:
         return self.labels.index(label)

@@ -212,16 +212,22 @@ def blowdown_transform(c, B, d: int, kind: str):
 # the abelian Gauss-sum invariant
 # ---------------------------------------------------------------------------
 
+def _u1_exponent(su_data: ModularData, beta: int) -> int:
+    """The u, 0 <= u < M, with u1_root_of_unity(su_data, beta) = zeta^u:
+    a^K s^-1 is zeta^(K a_exp - s_exp), and -1 is zeta^(M/2) (M = 2N(N+K)
+    is even)."""
+    ctx = su_data.ctx
+    K = su_data.K
+    base = K * ctx.a_exp - ctx.s_exp
+    if su_data.grading_modulus % 2:
+        base += K * (ctx.M // 2)
+    return base * K * beta * beta % ctx.M
+
+
 def u1_root_of_unity(su_data: ModularData, beta: int) -> CycScalar:
     """zeta = (a^K s^-1)^(K beta^2) for d even, ((-a)^K s^-1)^(K beta^2)
     for d odd, in the ring of the full theory."""
-    ctx = su_data.ctx
-    K = su_data.K
-    d = su_data.grading_modulus
-    base = ctx.a(K) * ctx.s(-1)
-    if d % 2:
-        base = base * ctx.from_rational((-1) ** K)
-    return base ** (K * beta * beta)
+    return su_data.ctx.zeta(_u1_exponent(su_data, beta))
 
 
 def u1_gauss_unit(su_data: ModularData, red_data: ModularData) -> CycScalar:
@@ -234,17 +240,19 @@ def _abelian_gauss_sum(g: PlumbingGraph, su_data: ModularData,
                        red_data: ModularData) -> CycScalar:
     """sum_{j in (Z/N')^m} zeta^(jBj), B the linking matrix of g, by the
     bracket's leaf elimination: surgery vertex v weighs label j by
-    zeta^(b_v j^2), an edge with end labels i, j contributes zeta^(2ij),
-    and a link vertex, which is not in B, takes label 0 alone."""
+    zeta^(b_v j^2), a rotation by b_v u j^2 for zeta = zeta_M^u, an edge
+    with end labels i, j contributes zeta^(2ij), and a link vertex, which
+    is not in B, takes label 0 alone."""
     ctx = su_data.ctx
-    n_prime = su_data.N // su_data.grading_modulus
-    zeta = u1_root_of_unity(su_data, red_data.beta)
-    weights = {v.id: {0: ctx.one()} if v.is_link else
-               {j: zeta ** (v.framing * j * j) for j in range(n_prime)}
-               for v in g.vertices}
-    table = [[zeta ** (2 * i * j) for j in range(n_prime)]
-             for i in range(n_prime)]
-    return _eliminate(g, weights, _sparse_columns(table, ctx.degree), ctx)
+    M = ctx.M
+    u = _u1_exponent(su_data, red_data.beta)
+    labels = tuple(range(su_data.N // su_data.grading_modulus))
+    specs = {v.id: (None, (0,), None, (0,)) if v.is_link else
+             (v.framing % M, labels, None,
+              tuple(u * v.framing * j * j % M for j in labels))
+             for v in g.vertices}
+    table = [[ctx.zeta(2 * u * i * j) for j in labels] for i in labels]
+    return _eliminate(g, specs, _sparse_columns(table, ctx.degree), ctx, {})
 
 
 def u1_invariant(g: PlumbingGraph, su_data: ModularData,

@@ -20,11 +20,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from .diagrams import ReducedLabel, YoungDiagram
+from .diagrams import ReducedLabel, YoungDiagram, twist_exponent
 from .moddata import ModularData
-from .scalars import (CycScalar, ExtScalar, ScalarError, _common_den,
-                      _from_packed, _pack)
+from .scalars import (CycScalar, ExtScalar, ScalarError, _canonical,
+                      _common_den, _from_packed, _pack)
 
 __all__ = [
     "PlumbingGraph",
@@ -199,14 +200,20 @@ def chain(framings) -> PlumbingGraph:
     return PlumbingGraph(verts, edges)
 
 
-def random_forest(rng, max_vertices=4) -> PlumbingGraph:
-    """Random plumbing forest of 1..max_vertices surgery vertices with
-    framings in [-3, 3], each vertex after the first joined to an earlier
-    one with probability 0.6."""
+def random_forest(rng, max_vertices=4, link_colors=None) -> PlumbingGraph:
+    """Random plumbing forest of 1..max_vertices vertices with framings in
+    [-3, 3], each vertex after the first joined to an earlier one with
+    probability 0.6.  With ``link_colors``, each vertex after the first is
+    then a link vertex with probability 0.3, its color chosen from
+    ``link_colors``.  The color draws come after all the others, so the
+    shape and framings drawn do not depend on ``link_colors``."""
     n = rng.randint(1, max_vertices)
     verts = [PlumbingVertex(f"v{i}", rng.randint(-3, 3)) for i in range(n)]
     edges = [(f"v{rng.randrange(i)}", f"v{i}")
              for i in range(1, n) if rng.random() < 0.6]
+    if link_colors:
+        verts[1:] = [PlumbingVertex(v.id, v.framing, rng.choice(link_colors))
+                     if rng.random() < 0.3 else v for v in verts[1:]]
     return PlumbingGraph(verts, edges)
 
 
@@ -250,19 +257,26 @@ def _signature(g: PlumbingGraph) -> tuple[int, int]:
     adds its sign and subtracts its reciprocal from the parent; a zero value
     spans a hyperbolic pair with the parent, which adds nothing and cuts the
     parent from the rest of the forest.  Link vertices start cut.
+
+    Values are integer pairs p/q with q > 0, left unreduced: only the sign
+    of p is read.
     """
-    # value of each surgery vertex that is neither eliminated nor cut
-    value = {v.id: Fraction(v.framing) for v in g.vertices if not v.is_link}
+    # p/q of each surgery vertex that is neither eliminated nor cut
+    value = {v.id: (v.framing, 1) for v in g.vertices if not v.is_link}
     m = len(value)
     sigma = 0
     for vid, parent in reversed(g.preorder):
         x = value.pop(vid, None)
         if x is None:
             continue
-        if x:
-            sigma += 1 if x > 0 else -1
+        p, q = x
+        if p:
+            sigma += 1 if p > 0 else -1
             if parent in value:
-                value[parent] -= 1 / x
+                # a/b - q/p, over the positive denominator b |p|
+                a, b = value[parent]
+                value[parent] = (a * p - q * b, b * p) if p > 0 else \
+                    (q * b - a * p, -b * p)
         elif parent in value:
             del value[parent]
     return m, sigma
@@ -286,14 +300,18 @@ def resolve_color(data: ModularData, spec) -> int:
                           f"{data.theory} at ({data.N}, {data.K})") from None
 
 
-def _candidate_lists(g: PlumbingGraph, data: ModularData, degree_filter):
-    """For each vertex: list of (label index, local weight).
+def _vertex_specs(g: PlumbingGraph, data: ModularData, degree_filter):
+    """For each vertex, its weights in the form ``_eliminate`` reads:
+    (key, labels, factors, rotations), label c weighing
+    factors[c] * zeta^rotations[c].
 
-    Surgery vertices range over all labels permitted by the degree filter
+    Surgery vertices range over the labels permitted by the degree filter
     with weight <c>^(2-deg) theta_c^framing; link vertices carry their one
-    fixed color with weight <c>^(1-deg) theta_c^framing.  Each weight is
-    read from ``data._weight_table``, keyed (label index, exponent,
-    framing), and computed on its first use.
+    fixed color with weight <c>^(1-deg) theta_c^framing.  theta_c^f is
+    zeta^(k_c f) for the twist exponent k_c, so the factor is <c>^e alone,
+    and None where e = 0.  Each spec is read from ``data._weight_table``,
+    keyed (labels, e, f mod M), and built on its first use; that key is
+    the spec's key.
     """
     d = data.grading_modulus
     surgery_ids = {v.id for v in g.surgery_vertices}
@@ -305,105 +323,164 @@ def _candidate_lists(g: PlumbingGraph, data: ModularData, degree_filter):
             raise ScalarError(
                 f"degree filter residue {residue} outside modulus {d}")
     table = data._weight_table
-
-    def weight(i, dim_exp, framing):
-        key = (i, dim_exp, framing)
-        w = table.get(key)
-        if w is None:
-            theta = data.twists[i]
-            if framing < 0:  # a root of unity: its conjugate is its inverse
-                theta, framing = theta.conjugate(), -framing
-            w = table[key] = data.dims[i] ** dim_exp * theta ** framing
-        return w
-
-    cands = {}
+    M = data.ctx.M
+    specs = {}
     for v in g.vertices:
         deg = len(g.adjacency[v.id])
         if v.is_link:
-            i = resolve_color(data, v.color)
-            cands[v.id] = [(i, weight(i, 1 - deg, v.framing))]
-            continue
-        residue = degree_filter.get(v.id)
-        cands[v.id] = [
-            (i, weight(i, 2 - deg, v.framing))
-            for i, lab in enumerate(data.labels)
-            if residue is None or data.degree(lab) % d == residue]
-    return cands
+            labels, e = (resolve_color(data, v.color),), 1 - deg
+        else:
+            labels = data._labels_by_residue[degree_filter.get(v.id)]
+            e = 2 - deg
+        f = v.framing % M
+        key = (labels, e, f)
+        spec = table.get(key)
+        if spec is None:
+            spec = table[key] = (
+                key, labels,
+                tuple(data.dims[c] ** e for c in labels) if e else None,
+                tuple(twist_exponent(data.ctx, data.labels[c]) * f % M
+                      for c in labels))
+        specs[v.id] = spec
+    return specs
+
+
+def _spec_weights(spec, ctx) -> dict:
+    """The weights of one vertex spec as {label: scalar}."""
+    _, labels, factors, rotations = spec
+    units = [ctx.zeta(r) for r in rotations]
+    if factors is None:
+        return dict(zip(labels, units))
+    return {c: f * u for c, f, u in zip(labels, factors, units)}
 
 
 def colored_bracket(g: PlumbingGraph, data: ModularData,
                     degree_filter=None) -> CycScalar:
     """<L(Omega, ..., Omega)> by leaf elimination over the forest."""
-    weights = {vid: dict(options) for vid, options in
-               _candidate_lists(g, data, degree_filter).items()}
+    specs = _vertex_specs(g, data, degree_filter)
     if data._s_terms is None:
         data._s_terms = _sparse_columns(data.s_matrix, data.ctx.degree)
-    return _eliminate(g, weights, data._s_terms, data.ctx)
+    return _eliminate(g, specs, data._s_terms, data.ctx, data._leaf_messages)
 
 
-def _eliminate(g: PlumbingGraph, weights: dict, matrix_terms,
-               ctx) -> CycScalar:
+def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
+               leaf_messages: dict) -> CycScalar:
     """Sum over the labelings of the vertices, each vertex v taking a label
-    in weights[v], of the product of the vertex weights and of
-    matrix[i][j] over every edge with end labels i and j, where
-    ``matrix_terms`` is ``_sparse_columns(matrix, ctx.degree)``.
+    c of its spec (key, labels, factors, rotations), of the product of the
+    vertex weights factors[c] * zeta^rotations[c] (factor 1 where factors
+    is None) and of matrix[i][j] over every edge with end labels i and j,
+    where ``matrix_terms`` is ``_sparse_columns(matrix, ctx.degree)``.
+    Equal keys must mean equal specs.
 
     The preorder is read backwards, so each vertex folds into its parent
-    after all of its children have folded into it.  ``weights`` is
-    consumed: weights[v][c] becomes the total weight of the eliminated part
-    of v's subtree when v has label c, divided by the contents below.
+    after all of its children have folded into it.  A vertex's values are
+    the products of its children's messages, divided by the contents below
+    (the first child's messages are taken as they are, later ones
+    multiply), times its factors; ``_vertex_vectors`` turns them into
+    content-free numerators and applies the rotations.  The message to the
+    parent label j, sum_i value_i * matrix[i][j], is then one packed
+    integer (``_messages``).  The contents multiply into one exact scale,
+    applied once to the result.
 
-    A vertex first divides its weights by their common rational content
-    (the gcd of all numerators over the lcm of the denominators); the
-    contents multiply into one exact scale, applied once to the result.
-    Its message to the parent label j, sum_i w_i * matrix[i][j], is then
-    one packed integer: each nonzero term s x^t of matrix[i][j] adds s
-    times w_i packed and shifted by t fields.  A coefficient of the message
-    before reduction is at most (labels) * (most terms of an entry) *
-    max|s| * max|w| in absolute value, so the field width is that bound's
-    bit length plus a sign bit.
+    The messages of a leaf depend only on its spec and its parent's labels,
+    so they are kept in ``leaf_messages`` under (key, parent labels).
     """
-    deg = ctx.degree
     total = ctx.one()
     scale_num = scale_den = 1
-    columns, rows, term_bound = matrix_terms
+    below = {}  # vertex -> values its eliminated children left, by label
     for vid, parent in reversed(g.preorder):
-        own = weights.pop(vid)
+        spec = specs[vid]
+        values = below.pop(vid, None)
         if parent is None:
-            tree_sum = ctx.zero()
-            for w in own.values():
-                tree_sum = tree_sum + w
-            total = total * tree_sum
-            continue
-        vecs, den = _common_den(own.values())
-        content = 0
-        for v in vecs:
-            content = math.gcd(content, *v)
+            content, den, vecs = _vertex_vectors(ctx, spec, values)
+        else:
+            targets = specs[parent][1]
+            key = (spec[0], targets)
+            found = leaf_messages.get(key) if values is None else None
+            if found is None:
+                content, den, vecs = _vertex_vectors(ctx, spec, values)
+                found = content, den, _messages(
+                    ctx, vecs, spec[1], targets, matrix_terms) \
+                    if content else None
+                if values is None:
+                    leaf_messages[key] = found
+            content, den, messages = found
         if not content:
-            return ctx.zero()  # every weight, so every message, is zero
+            return ctx.zero()  # every value, so every message, is zero
         scale_num *= content
         scale_den *= den
-        if content != 1:
-            vecs = [[x // content for x in v] for v in vecs]
-        largest = max(max(map(max, vecs)), -min(map(min, vecs)))
-        width = (len(vecs) * term_bound * largest).bit_length() + 1
-        shifts = range(0, deg * width, width)
-        # shifted[i * deg + t] = packed w_i << t * width; rows without a
-        # weight stay 0
-        shifted = [0] * (rows * deg)
-        for i, v in zip(own, vecs):
-            p = _pack(v, width)
-            shifted[i * deg:(i + 1) * deg] = [p << t for t in shifts]
-        get = shifted.__getitem__
-        up = weights[parent]
-        for j in up:
-            col_den, by_coeff = columns[j]
-            acc = 0
-            for s, places in by_coeff:
-                acc += s * sum(map(get, places))
-            up[j] = up[j] * _from_packed(ctx, acc, 2 * deg - 1, width,
-                                         col_den)
+        if parent is None:
+            total = total * _canonical(ctx, tuple(map(sum, zip(*vecs))), 1)
+        else:
+            up = below.get(parent)
+            below[parent] = messages if up is None else \
+                list(map(mul, up, messages))
     return total * Fraction(scale_num, scale_den)
+
+
+def _vertex_vectors(ctx, spec, values):
+    """(content, den, vecs): the values of a vertex, ``values`` (its
+    children's product, None at a leaf) times its factors times
+    zeta^rotation, as content * vecs / den with vecs content-free integer
+    numerator vectors.  content is 0 when every value is zero.
+
+    zeta is a unit of Z[zeta], so multiplying by zeta^r keeps the content
+    and the denominator: the rotation moves each content-free numerator
+    x_i zeta^i to x_i zeta^(i + r) through the table of zeta^k, integer
+    work only."""
+    _, labels, factors, rotations = spec
+    if factors is not None:
+        values = factors if values is None else list(map(mul, values, factors))
+    elif values is None:
+        values = [ctx.one()] * len(labels)
+    vecs, den = _common_den(values)
+    content = 0
+    for v in vecs:
+        content = math.gcd(content, *v)
+    if content > 1:
+        vecs = [[x // content for x in v] for v in vecs]
+    M, deg, zeta_terms = ctx.M, ctx.degree, ctx._zeta_terms
+    for n, r in enumerate(rotations):
+        if r:
+            out = [0] * deg
+            for i, x in enumerate(vecs[n]):
+                if x:
+                    for t, c in zeta_terms[(i + r) % M]:
+                        out[t] += x * c
+            vecs[n] = out
+    return content, den, vecs
+
+
+def _messages(ctx, vecs, labels, targets, matrix_terms) -> list:
+    """The message sum_i vecs_i * matrix[i][j] to each target label j, over
+    the content-free vectors ``vecs`` of the vertex's ``labels``, as one
+    packed integer per j.
+
+    Each nonzero term s x^t of matrix[i][j] adds s times vecs_i packed and
+    shifted by t fields.  A coefficient of the message before reduction is
+    at most (labels) * (most terms of an entry) * max|s| * max|vecs| in
+    absolute value, so the field width is that bound's bit length plus a
+    sign bit."""
+    deg = ctx.degree
+    columns, rows, term_bound = matrix_terms
+    largest = max(max(map(max, vecs)), -min(map(min, vecs)))
+    width = (len(vecs) * term_bound * largest).bit_length() + 1
+    shifts = range(0, deg * width, width)
+    # shifted[i * deg + t] = packed vecs_i << t * width; rows without a
+    # label stay 0
+    shifted = [0] * (rows * deg)
+    for i, v in zip(labels, vecs):
+        p = _pack(v, width)
+        shifted[i * deg:(i + 1) * deg] = [p << t for t in shifts]
+    get = shifted.__getitem__
+    messages = []
+    for j in targets:
+        col_den, by_coeff = columns[j]
+        acc = 0
+        for s, places in by_coeff:
+            acc += s * sum(map(get, places))
+        messages.append(_from_packed(ctx, acc, 2 * deg - 1, width, col_den))
+    return messages
 
 
 def _sparse_columns(matrix, deg: int):
@@ -437,7 +514,8 @@ def colored_bracket_direct(g: PlumbingGraph, data: ModularData,
     """Cross-check oracle: explicit sum over all colorings of the surgery
     vertices.  Exponential in the vertex count; intended for small graphs."""
     ctx = data.ctx
-    cands = _candidate_lists(g, data, degree_filter)
+    cands = {vid: list(_spec_weights(spec, ctx).items()) for vid, spec in
+             _vertex_specs(g, data, degree_filter).items()}
     order = [v.id for v in g.vertices]
     total = ctx.zero()
     for choice in itertools.product(*(cands[vid] for vid in order)):

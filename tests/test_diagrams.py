@@ -13,6 +13,7 @@ from heckemod.diagrams import (
     quantum_dimension_general,
     star_involution,
     twist_coefficient,
+    twist_exponent,
     zn_action,
 )
 from heckemod.scalars import ScalarError, solve_framing_reduced, su_parameters
@@ -186,6 +187,35 @@ def test_twist_basic():
     assert twist_coefficient(ctx, EMPTY) == ctx.one()
     assert twist_coefficient(ctx, YoungDiagram.of(1)) == ctx.a() * ctx.v(-1)
     assert twist_coefficient(ctx, YoungDiagram.of(2)) == ctx.from_rational(-1)
+
+
+def twist_by_products(ctx, label):
+    """Oracle: a^(|lam|^2) v^(-|lam|) s^(2 sum cn) as scalar powers, times
+    (a^N s)^(N i + 2N i(i-1)/2 + 2i|lam|) for a reduced label (i, lam)."""
+    if isinstance(label, ReducedLabel):
+        i, lam, N = label.i, label.diagram, ctx.N
+        cross = (ctx.a(N) * ctx.s()) ** (N * i + N * i * (i - 1)
+                                         + 2 * i * lam.size)
+        return cross * twist_by_products(ctx, lam)
+    n = label.size
+    return ctx.a() ** (n * n) * ctx.v() ** (-n) \
+        * ctx.s() ** (2 * label.content_sum())
+
+
+@pytest.mark.parametrize("N,K", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3),
+                                 (4, 2)])
+def test_twist_exponent_is_the_discrete_log(N, K):
+    # every su and reduced label: the one k < M with zeta^k equal to the
+    # twist built by scalar products
+    alpha, beta, red_ctx = solve_framing_reduced(N, K)
+    reps, _ = orbit_representatives(N, K, alpha, beta)
+    for ctx, labels in ((su_parameters(N, K),
+                         enumerate_sector(N, K, "strict")), (red_ctx, reps)):
+        for lab in labels:
+            theta = twist_by_products(ctx, lab)
+            (k,) = [k for k in range(ctx.M) if ctx.zeta(k) == theta]
+            assert twist_exponent(ctx, lab) == k
+            assert twist_coefficient(ctx, lab) == theta
 
 
 def test_twist_star_invariant():

@@ -472,14 +472,25 @@ def test_walked_gauss_sum_matches_explicit_sum(NK):
     red = build_modular_data(*NK, "reduced")
     n_prime = su.N // su.grading_modulus
     zeta = u1_root_of_unity(su, red.beta)
+    # the closed-form exponent against the power of a^K s^-1 (times -1
+    # for d odd)
+    ctx = su.ctx
+    base = ctx.a(su.K) * ctx.s(-1) * (-1) ** (su.grading_modulus % 2 * su.K)
+    assert zeta == base ** (su.K * red.beta ** 2)
     rng = random.Random(sum(NK))
     links = 0
-    for _ in range(12):
+    for k in range(12):
         g = random_plumbing(rng, 7)
         links += len(g.vertices) - len(g.surgery_vertices)
         B, _ = linking_data(g)
-        assert _abelian_gauss_sum(g, su, red) == \
-            explicit_gauss_sum(B, zeta, n_prime, su.ctx), (NK, g)
+        expected = explicit_gauss_sum(B, zeta, n_prime, su.ctx)
+        assert _abelian_gauss_sum(g, su, red) == expected, (NK, g)
+        # framings that agree mod M give the same sum
+        shifted = PlumbingGraph(
+            [PlumbingVertex(v.id, v.framing + (-1) ** i * (k + 1) * ctx.M,
+                            v.color) for i, v in enumerate(g.vertices)],
+            g.edges)
+        assert _abelian_gauss_sum(shifted, su, red) == expected, (NK, g)
     assert links > 0
     # the +1-framed unknot: the one-dimensional Gauss sum sum_j zeta^(j^2)
     assert u1_gauss_unit(su, red) == \

@@ -16,10 +16,11 @@ from heckemod.scalars import ScalarError
 from heckemod.surgery import (
     PlumbingGraph,
     PlumbingVertex,
-    _candidate_lists,
     _eliminate,
     _signature,
     _sparse_columns,
+    _spec_weights,
+    _vertex_specs,
     chain,
     colored_bracket,
     colored_bracket_direct,
@@ -28,6 +29,7 @@ from heckemod.surgery import (
     linking_data,
     parse_plumbing,
     plumbing_to_json,
+    random_forest,
     single_vertex,
     tau,
 )
@@ -183,6 +185,51 @@ def test_signature_random_against_float():
         assert _signature(g) == (len(B), sigma)
 
 
+def fraction_signature(g) -> tuple[int, int]:
+    """Oracle: the leaf elimination of ``_signature`` on Fractions."""
+    value = {v.id: Fraction(v.framing) for v in g.vertices if not v.is_link}
+    m = len(value)
+    sigma = 0
+    for vid, parent in reversed(g.preorder):
+        x = value.pop(vid, None)
+        if x is None:
+            continue
+        if x:
+            sigma += 1 if x > 0 else -1
+            if parent in value:
+                value[parent] -= 1 / x
+        elif parent in value:
+            del value[parent]
+    return m, sigma
+
+
+@st.composite
+def signature_forests(draw):
+    """Random forests of up to 14 vertices, some of them link vertices and
+    about a third of the surgery framings zero, so hyperbolic pairs cut
+    the forest."""
+    framings, parents, links = draw(forest_shapes(max_vertices=14))
+    zeros = draw(st.lists(st.integers(0, 2), min_size=len(framings),
+                          max_size=len(framings)))
+    framings = [0 if z == 0 else f for f, z in zip(framings, zeros)]
+    return shape_graph((framings, parents, links), [{"lambda": [1]}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(signature_forests())
+def test_integer_signature_matches_fraction_walk(g):
+    assert _signature(g) == fraction_signature(g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.1, 0.3]))
+def test_integer_signature_on_long_chains(seed, zero_share):
+    rng = random.Random(seed)
+    g = chain([0 if rng.random() < zero_share else rng.randint(-3, 3)
+               for _ in range(1000)])
+    assert _signature(g) == fraction_signature(g)
+
+
 def test_signature_long_chain():
     # the chain of n (-2)s is the negative definite A_n form; a 0-framed
     # end splits off a hyperbolic pair with its neighbour, leaving A_(n-1)
@@ -212,20 +259,6 @@ def test_bracket_encircled_meridian_vanishes(su22):
              PlumbingVertex("w", 0, {"lambda": rows})],
             [("c", "w")])
         assert colored_bracket(g, su22).is_zero() == expect_zero
-
-
-def random_forest(rng, max_vertices=4, link_colors=None):
-    n = rng.randint(1, max_vertices)
-    verts = []
-    edges = []
-    for i in range(n):
-        color = None
-        if link_colors and i > 0 and rng.random() < 0.3:
-            color = rng.choice(link_colors)
-        verts.append(PlumbingVertex(f"v{i}", rng.randint(-3, 3), color))
-        if i > 0 and rng.random() < 0.6:
-            edges.append((f"v{rng.randrange(i)}", f"v{i}"))
-    return PlumbingGraph(verts, edges)
 
 
 def test_bracket_matches_direct_oracle(su22, red33):
@@ -292,22 +325,30 @@ def eliminate_plain(g, weights, matrix, ctx):
     return total
 
 
-def both_eliminations(g, weights, matrix, ctx):
-    """(packed, plain) values on copies of the same weights."""
-    def fresh():
-        return {vid: dict(options) for vid, options in weights.items()}
-    return (_eliminate(g, fresh(), _sparse_columns(matrix, ctx.degree), ctx),
-            eliminate_plain(g, fresh(), matrix, ctx))
+def both_eliminations(g, specs, matrix, ctx):
+    """(packed, plain) values of the same vertex specs.  The packed one runs
+    with a cold and then with a warm table of leaf messages, which must
+    agree."""
+    terms = _sparse_columns(matrix, ctx.degree)
+    leaf_messages = {}
+    packed = _eliminate(g, specs, terms, ctx, leaf_messages)
+    assert _eliminate(g, specs, terms, ctx, leaf_messages) == packed
+    weights = {vid: _spec_weights(spec, ctx) for vid, spec in specs.items()}
+    return packed, eliminate_plain(g, weights, matrix, ctx)
 
 
 @st.composite
-def forest_shapes(draw, max_vertices=8):
+def forest_shapes(draw, max_vertices=8, period=0):
     """(framings, parents, link flags) of a random forest: parent None
-    starts a new tree, vertex 0 always does."""
+    starts a new tree, vertex 0 always does.  A framing is r + q * period
+    with r in [-3, 3] and q in [-2, 2], so with period M framings that
+    agree mod M recur with |f| >= M and negative."""
     n = draw(st.integers(1, max_vertices))
     parents = [None] + [draw(st.one_of(st.none(), st.integers(0, i - 1)))
                         for i in range(1, n)]
-    framings = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    framings = [r + q * period for r, q in draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+        min_size=n, max_size=n))]
     links = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return framings, parents, links
 
@@ -332,24 +373,82 @@ def modular(N, K, theory):
     ((3, 3), "reduced", [{"i": 1}, {"i": 0, "lambda": [1]}]),
     ((2, 6), "reduced", [{"i": 0, "lambda": [3]}])])
 def test_packed_bracket_matches_plain_messages(NK, theory, colors):
+    # the data is shared by every example, so its leaf messages are warm
+    # from the second example on
     data = modular(*NK, theory)
     d = data.grading_modulus
 
     @settings(max_examples=40, deadline=None)
-    @given(forest_shapes(), st.lists(st.integers(0, d - 1), max_size=8),
-           st.booleans())
+    @given(forest_shapes(period=data.ctx.M),
+           st.lists(st.integers(0, d - 1), max_size=8), st.booleans())
     def check(shape, residues, filtered):
         g = shape_graph(shape, colors)
         filt = {v.id: r for v, r in zip(g.surgery_vertices, residues)} \
             if filtered and theory == "reduced" else None
-        weights = {vid: dict(options) for vid, options in
-                   _candidate_lists(g, data, filt).items()}
-        packed, plain = both_eliminations(g, weights, data.s_matrix,
-                                          data.ctx)
+        packed, plain = both_eliminations(
+            g, _vertex_specs(g, data, filt), data.s_matrix, data.ctx)
         assert packed == plain
         assert packed == colored_bracket(g, data, filt)
 
     check()
+
+
+def star(center, arms):
+    """A vertex "c" of framing ``center`` joined to one vertex per entry of
+    ``arms``, an (id, framing, color) triple."""
+    return PlumbingGraph(
+        [PlumbingVertex("c", center)]
+        + [PlumbingVertex(vid, f, color) for vid, f, color in arms],
+        [("c", vid) for vid, _, _ in arms])
+
+
+LINK = {"lambda": [1]}
+SHAPES = {
+    # link vertices of degree 0, 1 and 2, and one of degree 3
+    "isolated link": PlumbingGraph(
+        [PlumbingVertex("a", -2), PlumbingVertex("w", 1, LINK)], []),
+    "leaf link": PlumbingGraph(
+        [PlumbingVertex("a", -2), PlumbingVertex("w", 1, LINK)],
+        [("a", "w")]),
+    "link inside a chain": PlumbingGraph(
+        [PlumbingVertex("a", 2), PlumbingVertex("w", -1, LINK),
+         PlumbingVertex("b", 3)], [("a", "w"), ("w", "b")]),
+    "link root of a star": PlumbingGraph(
+        [PlumbingVertex("w", 2, LINK)]
+        + [PlumbingVertex(f"x{i}", f) for i, f in enumerate([-1, 0, 2])],
+        [("w", f"x{i}") for i in range(3)]),
+    # surgery vertices with three and four children, leaves that share a
+    # framing mod M, and a link leaf under a branch point
+    "three children": star(-1, [("x", 2, None), ("y", 2, None),
+                                ("z", -3, None)]),
+    "four children": star(2, [("x", -2, None), ("y", 1, LINK),
+                              ("z", -2, None), ("t", 0, None)]),
+    "branch below the root": PlumbingGraph(
+        [PlumbingVertex(vid, f) for vid, f in
+         [("a", 1), ("c", 3), ("x", -1), ("y", -1), ("z", 2)]],
+        [("a", "c"), ("c", "x"), ("c", "y"), ("c", "z")]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("NK,theory", [((2, 2), "su"), ((2, 4), "reduced")])
+def test_bracket_on_link_degrees_and_branch_points(shape, NK, theory):
+    data = modular(*NK, theory)
+    g = SHAPES[shape]
+    if theory == "reduced":  # the reduced labels name the link color
+        g = PlumbingGraph([PlumbingVertex(v.id, v.framing,
+                                          {"i": 0, "lambda": [1]})
+                           if v.is_link else v for v in g.vertices], g.edges)
+    M = data.ctx.M
+    shifted = PlumbingGraph(  # the same framings mod M
+        [PlumbingVertex(v.id, v.framing + (-1) ** k * (k + 1) * M, v.color)
+         for k, v in enumerate(g.vertices)], g.edges)
+    expected = colored_bracket_direct(g, data)
+    for h in (g, shifted):
+        packed, plain = both_eliminations(
+            h, _vertex_specs(h, data, None), data.s_matrix, data.ctx)
+        assert packed == plain == expected
+        assert colored_bracket(h, data) == expected
 
 
 def random_scalar(rng, ctx, zero_share=0.2):
@@ -367,9 +466,10 @@ def random_scalar(rng, ctx, zero_share=0.2):
     ["varied", "all-zero vertex", "empty vertex", "common content"]))
 def test_packed_elimination_matches_plain_on_synthetic_matrix(
         shape, seed, case):
-    # denominators != 1 and mixed signs in both the matrix and the weights,
-    # a vertex whose weights are all zero or that has no labels at all,
-    # and weights sharing a large rational content
+    # denominators != 1 and mixed signs in both the matrix and the factors,
+    # rotations, a vertex whose weights are all zero or that has no labels
+    # at all, and factors sharing a large rational content; the vertices
+    # draw their specs from a small pool, so leaves repeat a key
     ctx = modular(2, 2, "su").ctx
     rng = random.Random(seed)
     n = rng.randint(1, 4)
@@ -377,18 +477,28 @@ def test_packed_elimination_matches_plain_on_synthetic_matrix(
     g = shape_graph(shape, None)
     content = ctx.from_rational(Fraction(rng.randint(1, 2 ** 60),
                                          rng.randint(1, 2 ** 30)))
-    weights = {}
-    for v in g.vertices:
-        labels = rng.sample(range(n), rng.randint(1, n))
-        weights[v.id] = {i: random_scalar(rng, ctx, 0.1) for i in labels}
+
+    def spec(key):
+        labels = tuple(rng.sample(range(n), rng.randint(1, n)))
+        factors = None
+        if case == "common content" or rng.random() < 0.7:
+            factors = tuple(random_scalar(rng, ctx, 0.1) for _ in labels)
         if case == "common content":
-            weights[v.id] = {i: w * content for i, w in weights[v.id].items()}
+            factors = tuple(w * content for w in factors)
+        rotations = tuple(rng.randrange(ctx.M) if rng.random() < 0.5 else 0
+                          for _ in labels)
+        return key, labels, factors, rotations
+
+    pool = [spec(k) for k in range(rng.randint(1, 3))]
+    specs = {v.id: rng.choice(pool) for v in g.vertices}
     victim = g.vertices[rng.randrange(len(g.vertices))].id
     if case == "all-zero vertex":
-        weights[victim] = {i: ctx.zero() for i in weights[victim]}
+        _, labels, _, rotations = specs[victim]
+        specs[victim] = ("zero", labels, (ctx.zero(),) * len(labels),
+                         rotations)
     elif case == "empty vertex":
-        weights[victim] = {}
-    packed, plain = both_eliminations(g, weights, matrix, ctx)
+        specs[victim] = ("empty", (), None, ())
+    packed, plain = both_eliminations(g, specs, matrix, ctx)
     assert packed == plain
     if case in ("all-zero vertex", "empty vertex"):
         assert packed.is_zero()
@@ -400,8 +510,8 @@ def test_packed_elimination_matches_plain_on_synthetic_matrix(
 def test_packed_elimination_at_the_width_bound(NK, terms, coeff):
     # every entry is coeff * (1 + x + ... + x^(terms-1)) and every content-
     # free weight (3, ..., 3, 2), so a coefficient of each unreduced message
-    # is (labels) * terms * 3 * |coeff| in absolute value: exactly the
-    # bound the packing width is taken from
+    # of a leaf is (labels) * terms * 3 * |coeff| in absolute value: exactly
+    # the bound the packing width is taken from
     ctx = modular(*NK, "su").ctx
     deg = ctx.degree
     assert terms < deg
@@ -409,11 +519,12 @@ def test_packed_elimination_at_the_width_bound(NK, terms, coeff):
     entry = ctx.from_coeffs([coeff] * terms)
     matrix = [[entry] * n for _ in range(n)]
     weight = ctx.from_coeffs([3] * (deg - 1) + [2])
+    spec = ("w", tuple(range(n)), (weight,) * n, (0,) * n)
     for g in (chain([0, 0, 0]), PlumbingGraph(
             [PlumbingVertex(f"v{i}", 0) for i in range(4)],
             [("v0", "v1"), ("v0", "v2"), ("v0", "v3")])):
-        weights = {v.id: {i: weight for i in range(n)} for v in g.vertices}
-        packed, plain = both_eliminations(g, weights, matrix, ctx)
+        packed, plain = both_eliminations(
+            g, {v.id: spec for v in g.vertices}, matrix, ctx)
         assert packed == plain
 
 
@@ -427,9 +538,8 @@ def seeded_chain(length, seed):
 def test_long_chain_matches_plain_messages(NK, theory, length):
     data = modular(*NK, theory)
     g = seeded_chain(length, 2026)
-    weights = {vid: dict(options) for vid, options in
-               _candidate_lists(g, data, None).items()}
-    packed, plain = both_eliminations(g, weights, data.s_matrix, data.ctx)
+    packed, plain = both_eliminations(g, _vertex_specs(g, data, None),
+                                      data.s_matrix, data.ctx)
     assert packed == plain == colored_bracket(g, data)
     assert not packed.is_zero()
 
@@ -438,9 +548,32 @@ def test_weight_table_dies_with_its_data():
     data = build_modular_data(2, 3, "su")
     tau(chain([-2, 3, 1]), data)
     assert data._weight_table
-    assert all(w.ring is data.ctx for w in data._weight_table.values())
+    assert all(f.ring is data.ctx for spec in data._weight_table.values()
+               for f in spec[2] or ())
     ref = weakref.ref(data.ctx)
     del data
+    gc.collect()
+    assert ref() is None
+
+
+def test_leaf_messages_live_on_their_data():
+    # the leaf messages are filled on the data and nowhere else: the module
+    # namespace is unchanged, a warm table gives the bracket of a cold one,
+    # and the ring the messages hold goes with the data
+    from heckemod import surgery
+    names = {name: id(x) for name, x in vars(surgery).items()}
+    data = build_modular_data(2, 3, "su")
+    g = disjoint_union(chain([-2, 3, 1, 5]), star(2, [
+        ("x", -1, None), ("y", -1 + data.ctx.M, None), ("z", 2, LINK)]))
+    cold = colored_bracket(g, data)
+    assert data._leaf_messages
+    assert all(x.ring is data.ctx for _, _, messages in
+               data._leaf_messages.values() for x in messages)
+    assert colored_bracket(g, data) == cold
+    assert colored_bracket(g, build_modular_data(2, 3, "su")) == cold
+    assert {name: id(x) for name, x in vars(surgery).items()} == names
+    ref = weakref.ref(data.ctx)
+    del data, cold
     gc.collect()
     assert ref() is None
 
