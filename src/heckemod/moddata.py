@@ -87,15 +87,10 @@ def _alternant(ctx: RingContext, exponents: list[int],
     """det(zeta^(exponents[i] * powers[j])), summed over permutations.
 
     Every permutation adds its sign to a histogram of the exponent mod M; the
-    histogram maps once to the power basis through the table of zeta^k.
+    histogram maps once to the power basis as one power sum.
     """
-    nums = [0] * ctx.degree
-    hist = _alternant_histogram(ctx, exponents, powers)
-    for terms, h in zip(ctx._zeta_terms, hist):
-        if h:
-            for i, c in terms:
-                nums[i] += h * c
-    return CycScalar(ctx, tuple(nums))
+    return CycScalar(ctx, ctx.power_sum(
+        _alternant_histogram(ctx, exponents, powers)))
 
 
 def s_matrix_column(ctx: RingContext, mu) -> tuple:
@@ -154,8 +149,8 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
     N, M = ctx.N, ctx.M
     rho = list(range(N - 1, -1, -1))
     c = _alternant(ctx, [2 * ctx.s_exp * r for r in rho], rho).invert()
-    powers = _PackedRows(ctx, [[CycScalar(ctx, vec, c.den)
-                                for vec in ctx._zeta_multiples(c.nums)]])
+    powers = _PackedRows(ctx, [[CycScalar(ctx, ctx.power_sum(c.nums, 1, k),
+                                          c.den) for k in range(M)]])
     width = (math.factorial(N) * powers.bound).bit_length() + 1
 
     parts = []  # (column power, size, l, 2 s_exp l) per label

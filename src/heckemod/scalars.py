@@ -105,11 +105,17 @@ class RingContext:
         self._phi_tail = tuple((i, -c) for i, c in
                                enumerate(self.cyclotomic_poly[:-1]) if c)
         # zeta^k in the power basis, as sparse (index, coefficient) terms,
-        # for k = 0 .. M-1; conjugation and zeta() read this table
-        terms = [tuple((i, c) for i, c in enumerate(vec) if c)
-                 for vec in self._zeta_multiples((1,) + (0,) * (deg - 1))]
+        # for k = 0 .. M-1: each is the last times zeta, its coefficient of
+        # x^deg folded down through Phi_M.  Only power_sum reads this table
+        vec, terms = [1] + [0] * (deg - 1), []
+        for _ in range(M):
+            terms.append(tuple((i, c) for i, c in enumerate(vec) if c))
+            top = vec[-1]
+            vec = [0] + vec[:-1]
+            if top:
+                for i, p in self._phi_tail:
+                    vec[i] += top * p
         self._zeta_terms = tuple(terms)
-        self._conj_terms = tuple(terms[-k % M] for k in range(deg))
         self._zeta_pows: dict[int, CycScalar] = {}
         # precision -> the embeddings of zeta^0 .. zeta^(deg-1), read by embed
         self._embedded_powers: dict[int, tuple] = {}
@@ -119,19 +125,19 @@ class RingContext:
         self._zero = CycScalar(self, (0,) * deg)
         self._one = self.from_rational(1)
 
-    def _zeta_multiples(self, nums) -> Iterable[tuple]:
-        """The numerators of x zeta^k for k = 0 .. M-1, x the element with
-        numerators ``nums``: each is the last times zeta, its coefficient
-        of x^deg folded down through Phi_M.  zeta is a unit, so all share
-        the denominator of x."""
-        vec = list(nums)
-        for _ in range(self.M):
-            yield tuple(vec)
-            top = vec[-1]
-            vec = [0] + vec[:-1]
-            if top:
-                for i, p in self._phi_tail:
-                    vec[i] += top * p
+    def power_sum(self, coeffs, step: int = 1, start: int = 0) -> tuple:
+        """The power-basis numerators of sum_i coeffs[i] zeta^(start + i*step),
+        for integer ``coeffs``; zeta is a unit of Z[zeta], so x zeta^k is
+        ``power_sum(x.nums, 1, k)`` over the denominator of x."""
+        M, terms = self.M, self._zeta_terms
+        out = [0] * self.degree
+        k, step = start % M, step % M
+        for x in coeffs:
+            if x:
+                for t, c in terms[k]:
+                    out[t] += x * c
+            k = (k + step) % M
+        return tuple(out)
 
     # -- construction -----------------------------------------------------
 
@@ -160,10 +166,8 @@ class RingContext:
         k %= self.M
         cached = self._zeta_pows.get(k)
         if cached is None:
-            nums = [0] * self.degree
-            for i, c in self._zeta_terms[k]:
-                nums[i] = c
-            cached = self._zeta_pows[k] = CycScalar(self, tuple(nums))
+            cached = self._zeta_pows[k] = CycScalar(
+                self, self.power_sum((1,), 1, k))
         return cached
 
     # -- named parameters ---------------------------------------------------
@@ -181,13 +185,10 @@ class RingContext:
 
     def quantum_integer(self, n: int) -> "CycScalar":
         """[n] = (s^n - s^-n)/(s - s^-1), summed as s^(n-1) + s^(n-3) + ...
-        + s^(1-n) straight from the table of zeta^k; [-n] = -[n]."""
+        + s^(1-n) as one power sum; [-n] = -[n]."""
         sign, m = (-1, -n) if n < 0 else (1, n)
-        nums = [0] * self.degree
-        for k in range(m):
-            for i, c in self._zeta_terms[self.s_exp * (m - 1 - 2 * k) % self.M]:
-                nums[i] += sign * c
-        return CycScalar(self, tuple(nums))
+        return CycScalar(self, self.power_sum(
+            [sign] * m, -2 * self.s_exp, self.s_exp * (m - 1)))
 
     def quantum_factorial(self, n: int) -> "CycScalar":
         if n < 0:
@@ -407,15 +408,11 @@ class CycScalar:
         return self * other.invert()
 
     def conjugate(self) -> "CycScalar":
-        """Complex conjugation, zeta -> zeta^(M-1), as a precomputed integer
-        map on the power basis (it preserves the content, so the result stays
+        """Complex conjugation, zeta^i -> zeta^(-i), as an integer map on the
+        power basis (it preserves the content, so the result stays
         canonical)."""
-        out = [0] * self.ring.degree
-        for x, terms in zip(self.nums, self.ring._conj_terms):
-            if x:
-                for i, c in terms:
-                    out[i] += x * c
-        return CycScalar(self.ring, tuple(out), self.den)
+        return CycScalar(self.ring, self.ring.power_sum(self.nums, -1),
+                         self.den)
 
     # -- predicates ---------------------------------------------------------
 

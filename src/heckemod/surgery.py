@@ -287,10 +287,14 @@ def _signature(g: PlumbingGraph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def resolve_color(data: ModularData, spec) -> int:
-    """Index of a fixed link color in the active label set."""
+    """Index of a fixed link color in the active label set.  A color's
+    ``i`` defaults to 0: in the reduced theory it is the label (i, lambda),
+    in su and psu the diagram lambda, and i != 0 is no label of theirs."""
     if isinstance(spec, dict):
         lam = YoungDiagram(tuple(int(r) for r in spec.get("lambda", [])))
-        label = ReducedLabel(int(spec["i"]), lam) if "i" in spec else lam
+        i = int(spec.get("i", 0))
+        label = ReducedLabel(i, lam) if i or data.theory == "reduced" \
+            else lam
     else:
         label = spec
     try:
@@ -426,8 +430,7 @@ def _vertex_vectors(ctx, spec, values):
 
     zeta is a unit of Z[zeta], so multiplying by zeta^r keeps the content
     and the denominator: the rotation moves each content-free numerator
-    x_i zeta^i to x_i zeta^(i + r) through the table of zeta^k, integer
-    work only."""
+    x_i zeta^i to x_i zeta^(i + r), one power sum of integers."""
     _, labels, factors, rotations = spec
     if factors is not None:
         values = factors if values is None else list(map(mul, values, factors))
@@ -439,15 +442,9 @@ def _vertex_vectors(ctx, spec, values):
         content = math.gcd(content, *v)
     if content > 1:
         vecs = [[x // content for x in v] for v in vecs]
-    M, deg, zeta_terms = ctx.M, ctx.degree, ctx._zeta_terms
     for n, r in enumerate(rotations):
         if r:
-            out = [0] * deg
-            for i, x in enumerate(vecs[n]):
-                if x:
-                    for t, c in zeta_terms[(i + r) % M]:
-                        out[t] += x * c
-            vecs[n] = out
+            vecs[n] = ctx.power_sum(vecs[n], 1, r)
     return content, den, vecs
 
 

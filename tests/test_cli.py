@@ -293,6 +293,27 @@ def test_computation_error_exit(capsys):
     capsys.readouterr()
 
 
+def test_link_color_i_defaults_to_zero(tmp_path, capsys):
+    # the README's colour {"lambda": [1]} is the reduced label (0, [1]);
+    # in su only i = 0 names a label
+    def invariant(color, *theory):
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps(
+            {"vertices": [{"id": "v1", "framing": -2},
+                          {"id": "w", "framing": 0, "link": color}],
+             "edges": [["v1", "w"]]}))
+        code = main(["invariant", "--manifold", str(path), "2", "3", *theory])
+        return (code, *capsys.readouterr())
+
+    reduced = invariant({"lambda": [1]}, "--theory", "reduced")
+    assert reduced[0] == 0
+    assert invariant({"i": 0, "lambda": [1]}, "--theory", "reduced") == reduced
+    su = invariant({"lambda": [1]})
+    assert su[0] == 0 and invariant({"i": 0, "lambda": [1]}) == su
+    code, out, err = invariant({"i": 1, "lambda": [1]})
+    assert (code, out) == (2, "") and "unknown color label" in err
+
+
 def test_verification_failure_exit(capsys):
     # the degree-zero sector is degenerate at gcd(3,3) = 3: the report
     # records the failing identities and the command signals them

@@ -34,6 +34,7 @@ from heckemod.moddata import (
     verlinde_dimension,
 )
 from heckemod.scalars import (
+    CycScalar,
     ScalarError,
     _packed_combination,
     _packed_dot,
@@ -510,3 +511,42 @@ def test_s_t_cubed_is_not_delta_plus_s_squared(N, K):
     s2 = _matmul(data.ctx, data.s_matrix, data.s_matrix)
     assert _s_twisted_cubed(data, data.twists) != \
         [[data.delta_plus * x for x in row] for row in s2]
+
+
+# ---------------------------------------------------------------------------
+# Galois symmetry of S (Coste-Gannon): for l coprime to M, sigma_l(zeta) =
+# zeta^l maps the column S_{lam,mu}/S_{0,mu} to the column of a label pi_l(mu)
+# ---------------------------------------------------------------------------
+
+GALOIS_GRID = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2),
+               (4, 4), (5, 3), (3, 4), (2, 6)]
+GALOIS_CASES = (
+    [(N, K, theory) for N, K in GALOIS_GRID for theory in ("su", "reduced")]
+    + [(N, K, "psu") for N, K in GALOIS_GRID if math.gcd(N, K) == 1])
+
+
+def _galois(x, ell):
+    """sigma_ell(x): zeta^i -> zeta^(ell i) on the power basis."""
+    return CycScalar(x.ring, x.ring.power_sum(x.nums, ell), x.den)
+
+
+@pytest.mark.parametrize("N,K,theory", GALOIS_CASES)
+def test_galois_action_permutes_s_columns(N, K, theory):
+    data = build_modular_data(N, K, theory)
+    ctx, S = data.ctx, data.s_matrix
+    for row in S:
+        for x in row:
+            assert _galois(x, -1) == x.conjugate()
+    n = len(S)
+    key = {}
+    for mu in range(n):
+        inv = S[0][mu].invert()
+        column = tuple(S[lam][mu] * inv for lam in range(n))
+        key[column] = mu
+    assert len(key) == n
+    for ell in range(2, ctx.M):
+        if math.gcd(ell, ctx.M) == 1:
+            image = [key.get(tuple(_galois(x, ell) for x in column))
+                     for column in key]
+            assert None not in image and sorted(image) == list(range(n)), \
+                (ell, image)

@@ -31,6 +31,7 @@ from heckemod.surgery import (
     disjoint_union,
     empty_graph,
     linking_data,
+    random_forest,
     single_vertex,
     tau,
 )
@@ -265,20 +266,6 @@ def test_characteristic_validation():
         characteristic_solutions([[1]], 2, "bogus")
 
 
-def random_plumbing(rng, max_vertices):
-    """Random plumbing forest: framings in [-3, 3], about a third of the
-    vertices after the first are link vertices, and each vertex after the
-    first is joined to an earlier one with probability 0.7."""
-    n = rng.randint(1, max_vertices)
-    verts = [PlumbingVertex(f"v{i}", rng.randint(-3, 3),
-                            {"lambda": [1]} if i and rng.random() < 0.3
-                            else None)
-             for i in range(n)]
-    edges = [(f"v{rng.randrange(i)}", f"v{i}")
-             for i in range(1, n) if rng.random() < 0.7]
-    return PlumbingGraph(verts, edges)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
 def test_forest_solver_matches_smith_oracle(d):
     # the leaf elimination finds exactly the Smith-form solutions, and
@@ -286,7 +273,7 @@ def test_forest_solver_matches_smith_oracle(d):
     rng = random.Random(100 + d)
     coranks = set()
     for _ in range(80):
-        g = random_plumbing(rng, 10)
+        g = random_forest(rng, 10, link_colors=[{"lambda": [1]}])
         B, _ = linking_data(g)
         if len(B) > 8:
             continue
@@ -309,7 +296,7 @@ def test_forest_check_matches_dense_definition(d):
     rng = random.Random(200 + d)
     verdicts = set()
     for _ in range(60):
-        g = random_plumbing(rng, 10)
+        g = random_forest(rng, 10, link_colors=[{"lambda": [1]}])
         B, _ = linking_data(g)
         for kind in ("coho", "spin") if d % 2 == 0 else ("coho",):
             sols = characteristic_solutions(B, d, kind).solutions
@@ -480,7 +467,7 @@ def test_walked_gauss_sum_matches_explicit_sum(NK):
     rng = random.Random(sum(NK))
     links = 0
     for k in range(12):
-        g = random_plumbing(rng, 7)
+        g = random_forest(rng, 7, link_colors=[{"lambda": [1]}])
         links += len(g.vertices) - len(g.surgery_vertices)
         B, _ = linking_data(g)
         expected = explicit_gauss_sum(B, zeta, n_prime, su.ctx)

@@ -341,8 +341,8 @@ def test_invert_matches_fraction_reference(deg):
 def test_conjugate_matches_fraction_reference(deg):
     ctx = ORACLE_RINGS[deg]
     M = ctx.M
-    # zeta^k as x^k mod Phi_M; one recurrence builds zeta(), the table that
-    # conjugation reads and the multiples x zeta^k of the S build
+    # zeta^k as x^k mod Phi_M; zeta(), conjugation and the multiples
+    # x zeta^k of the S build are all one power sum over the ring's table
     powers = [_ref_reduce(ctx.cyclotomic_poly, [0] * k + [1])
               for k in range(M)]
     assert [list(ctx.zeta(k).coeffs) for k in range(M)] == powers
@@ -359,9 +359,29 @@ def test_conjugate_matches_fraction_reference(deg):
         want = [tuple(sum(c * powers[(i + k) % M][t]
                           for i, c in enumerate(x.nums))
                       for t in range(deg)) for k in range(M)]
-        assert list(ctx._zeta_multiples(x.nums)) == want
+        assert [ctx.power_sum(x.nums, 1, k) for k in range(M)] == want
 
     check()
+
+
+@pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
+@pytest.mark.parametrize("step", [1, -1, -2, 7])
+def test_power_sum_matches_fraction_reference(deg, step):
+    # sum_i c_i zeta^(start + i step) against the polynomial with c_i at
+    # x^((start + i step) mod M), reduced by long division by Phi_M; 7 is a
+    # unit mod M = 20, 48 and 80
+    ctx = ORACLE_RINGS[deg]
+    M = ctx.M
+    rng = random.Random(deg * 10 + step)
+    for length in (1, deg, M - 1, M + 3, 2 * M + 1):
+        coeffs = [rng.randint(-9, 9) for _ in range(length)]
+        for start in (-M - 3, -1, 0, 5, M, 2 * M + 5):
+            poly = [0] * M
+            for i, c in enumerate(coeffs):
+                poly[(start + i * step) % M] += c
+            got = ctx.power_sum(coeffs, step, start)
+            assert list(got) == _ref_reduce(ctx.cyclotomic_poly, poly)
+    assert ctx.power_sum([]) == (0,) * deg
 
 
 @pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckemod.diagrams import ReducedLabel, YoungDiagram
 from heckemod.moddata import build_modular_data
 from heckemod.refine import characteristic_solutions
 from heckemod.scalars import ScalarError
@@ -30,6 +31,7 @@ from heckemod.surgery import (
     parse_plumbing,
     plumbing_to_json,
     random_forest,
+    resolve_color,
     single_vertex,
     tau,
 )
@@ -124,6 +126,33 @@ def test_empty_link_color_is_a_link_vertex(su33):
     assert all(g.vertices[1].is_link for g in graphs)
     assert all(len(g.surgery_vertices) == 1 for g in graphs)
     assert colored_bracket(graphs[0], su33) == colored_bracket(graphs[1], su33)
+
+
+def _one_link(color):
+    return parse_plumbing({
+        "vertices": [{"id": "a", "framing": -2},
+                     {"id": "w", "framing": 1, "link": color}],
+        "edges": [["a", "w"]]})
+
+
+@pytest.mark.parametrize("NK", [(2, 3), (3, 3)])
+def test_reduced_color_without_i_is_i_zero(NK):
+    # a missing i is 0: (0, lambda) is a reduced label
+    data = build_modular_data(*NK, "reduced")
+    for lam in ([], [1]):
+        label = ReducedLabel(0, YoungDiagram(tuple(lam)))
+        assert resolve_color(data, {"lambda": lam}) == data.index(label)
+        assert colored_bracket(_one_link({"lambda": lam}), data) == \
+            colored_bracket(_one_link({"i": 0, "lambda": lam}), data)
+
+
+@pytest.mark.parametrize("theory", ["su", "psu"])
+def test_diagram_color_accepts_i_zero_only(theory):
+    data = build_modular_data(2, 3, theory)
+    assert colored_bracket(_one_link({"i": 0, "lambda": [2]}), data) == \
+        colored_bracket(_one_link({"lambda": [2]}), data)
+    with pytest.raises(ScalarError, match="unknown color label"):
+        colored_bracket(_one_link({"i": 1, "lambda": [2]}), data)
 
 
 # ---------------------------------------------------------------------------
