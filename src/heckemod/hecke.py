@@ -6,6 +6,14 @@ at position j ends at position pi[j]).  The quadratic relation is
 sigma^2 = a(s - s^-1) sigma + a^2, and the Markov trace closes the braid in
 the solid torus and evaluates it in the 3-sphere.
 
+The multiplication kernel works on integer numerators: inside a product, a
+chain of generator steps or a partial trace, a term dict maps each
+permutation to a numerator vector, and all its terms share one
+denominator.  a and s are powers of zeta, so a generator step multiplies by
+zeta^e1 - zeta^e2 and zeta^e3 (``_quadratic``), each a rotation of the
+numerators by ``RingContext.power_sum``; scaling by a coefficient is one
+schoolbook product.  Each result becomes canonical scalars once, at its end.
+
 This module serves as an independent skein-level oracle for the quantum
 dimensions, twists, and eigenvalues used elsewhere.
 """
@@ -13,10 +21,13 @@ dimensions, twists, and eigenvalues used elsewhere.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .diagrams import YoungDiagram
-from .scalars import CycScalar, RingContext, ScalarError
+from .scalars import (CycScalar, RingContext, ScalarError, _canonical,
+                      _common_den, _nonzero_terms, _schoolbook)
 
 MAX_STRANDS = 8
 
@@ -46,61 +57,79 @@ def reduced_word(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _quadratic(ring: RingContext, sign: int) -> tuple[CycScalar, CycScalar]:
-    """(mid, sq) with g^2 = mid g + sq for g = sigma_i^sign.
+def _quadratic(ring: RingContext, sign: int) -> tuple[int, int, int]:
+    """(e1, e2, e3) with g^2 = (zeta^e1 - zeta^e2) g + zeta^e3 for
+    g = sigma_i^sign.
 
     sigma^2 = a(s - s^-1) sigma + a^2, and multiplying it by a^-2 sigma^-2
-    gives sigma^-2 = -a^-1 (s - s^-1) sigma^-1 + a^-2.
+    gives sigma^-2 = (a^-1 s^-1 - a^-1 s) sigma^-1 + a^-2.
     """
-    z = ring.s() - ring.s(-1)
+    a, s = ring.a_exp, ring.s_exp
     if sign > 0:
-        return ring.a() * z, ring.a(2)
-    return -(ring.a(-1) * z), ring.a(-2)
+        return a + s, a - s, 2 * a
+    return -a - s, s - a, -2 * a
 
 
-def _accumulate(terms: dict, p: tuple[int, ...], c: CycScalar) -> None:
-    """terms[p] += c, dropping a coefficient that cancels to zero."""
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """A term dict of scalars as numerator vectors over one denominator,
+    the least common one."""
+    vecs, den = _common_den(terms.values())
+    return dict(zip(terms, vecs)), den
+
+
+def _scalars(ring: RingContext, terms: dict, den: int) -> dict:
+    """The canonical scalars of numerator vectors over ``den``, zero terms
+    dropped."""
+    return {p: _canonical(ring, v, den) for p, v in terms.items() if any(v)}
+
+
+def _accumulate(terms: dict, p: tuple[int, ...], v: tuple) -> None:
+    """terms[p] += v for numerator vectors over the dict's denominator; a
+    sum that cancels stays, as a zero vector, until ``_scalars`` drops it."""
     if p in terms:
-        c = terms[p] + c
-        if c.is_zero():
-            del terms[p]
-            return
-    terms[p] = c
+        v = tuple(map(add, terms[p], v))
+    terms[p] = v
 
 
-def _step(terms: dict, i: int, sign: int, mid: CycScalar,
-          sq: CycScalar) -> dict:
-    """The term dict of (sum c w_p) sigma_i^sign, with (mid, sq) from
-    ``_quadratic(ring, sign)``.
+def _step(ring: RingContext, terms: dict, i: int, sign: int,
+          rel: tuple[int, int, int]) -> dict:
+    """The numerators of (sum c w_p) sigma_i^sign over the denominator of
+    ``terms``, with rel = ``_quadratic(ring, sign)``.
 
     Let q = p s_i (the values i and i+1 swapped).  Where the lengths add
     (i comes before i+1 in p), w_p sigma_i = w_q; otherwise w_p = w_q sigma_i
-    and the quadratic relation gives mid w_p + sq w_q.  For sigma_i^-1 the
-    two cases trade places: w_p sigma_i^-1 = w_q when w_p = w_q sigma_i.
+    and the quadratic relation gives (zeta^e1 - zeta^e2) w_p + zeta^e3 w_q,
+    each power of zeta a rotation of the numerators.  For sigma_i^-1 the two
+    cases trade places: w_p sigma_i^-1 = w_q when w_p = w_q sigma_i.
     """
+    e1, e2, e3 = rel
+    rotate = ring.power_sum
     out: dict = {}
-    for p, c in terms.items():
+    for p, v in terms.items():
         lo, hi = p.index(i), p.index(i + 1)
         q = list(p)
         q[lo], q[hi] = i + 1, i
         q = tuple(q)
         if (lo < hi) == (sign > 0):
-            _accumulate(out, q, c)
+            _accumulate(out, q, v)
         else:
-            _accumulate(out, p, c * mid)
-            _accumulate(out, q, c * sq)
+            _accumulate(out, p, tuple(map(sub, rotate(v, 1, e1),
+                                          rotate(v, 1, e2))))
+            _accumulate(out, q, rotate(v, 1, e3))
     return out
 
 
-def _product(x: dict, y: dict, mid: CycScalar, sq: CycScalar,
-             out: dict) -> None:
-    """Add the term dict of x * y into ``out``; (mid, sq) = _quadratic(ring, 1).
+def _product(ring: RingContext, x: dict, y: dict, out: dict) -> None:
+    """Add the numerators of x * y into ``out``, for term dicts of numerator
+    vectors over D_x and D_y; the sum is over D_x D_y.
 
     x w_q = x sigma_{i1} ... sigma_{ik} for the reduced word of q, so the
     words of y's support are walked as a prefix tree, depth first in
     lexicographic order: each node costs one generator step on its parent's
-    product, and c_q scales the product at q's node.
+    product, and c_q scales the product at q's node by one schoolbook
+    product per term.
     """
+    rel = _quadratic(ring, 1)
     word: list[int] = []
     prefix = [x]  # prefix[k] = x times the first k letters of word
     for w, c in sorted(((reduced_word(q), c) for q, c in y.items()),
@@ -110,10 +139,16 @@ def _product(x: dict, y: dict, mid: CycScalar, sq: CycScalar,
             k += 1
         del word[k:], prefix[k + 1:]
         for i in w[k:]:
-            prefix.append(_step(prefix[-1], i, 1, mid, sq))
+            prefix.append(_step(ring, prefix[-1], i, 1, rel))
             word.append(i)
-        for p, a in prefix[-1].items():
-            _accumulate(out, p, a * c)
+        c = _nonzero_terms(c)
+        for p, v in prefix[-1].items():
+            _accumulate(out, p, _schoolbook(ring, v, c))
+
+
+def _check_strands(n: int) -> None:
+    if n > MAX_STRANDS:
+        raise ScalarError(f"strand count {n} exceeds the cap {MAX_STRANDS}")
 
 
 class HeckeElement:
@@ -122,8 +157,7 @@ class HeckeElement:
     __slots__ = ("n", "ring", "terms")
 
     def __init__(self, n: int, ring: RingContext, terms: dict):
-        if n > MAX_STRANDS:
-            raise ScalarError(f"strand count {n} exceeds the cap {MAX_STRANDS}")
+        _check_strands(n)
         self.n = n
         self.ring = ring
         self.terms = {p: c for p, c in terms.items() if not c.is_zero()}
@@ -168,13 +202,13 @@ class HeckeElement:
                             {p: -c for p, c in self.terms.items()})
 
     def scale(self, c) -> "HeckeElement":
-        if isinstance(c, int):
+        if isinstance(c, (int, Fraction)):
             c = self.ring.from_rational(c)
         return HeckeElement(self.n, self.ring,
                             {p: x * c for p, x in self.terms.items()})
 
     def __rmul__(self, c):
-        if isinstance(c, (int, CycScalar)):
+        if isinstance(c, (int, Fraction, CycScalar)):
             return self.scale(c)
         return NotImplemented
 
@@ -193,12 +227,16 @@ class HeckeElement:
     # -- multiplication ---------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, CycScalar)):
+        if isinstance(other, (int, Fraction, CycScalar)):
             return self.scale(other)
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         self._check(other)
-        terms: dict = {}
-        _product(self.terms, other.terms, *_quadratic(self.ring, 1), terms)
-        return HeckeElement(self.n, self.ring, terms)
+        ring = self.ring
+        (x, dx), (y, dy) = _numerators(self.terms), _numerators(other.terms)
+        out: dict = {}
+        _product(ring, x, y, out)
+        return HeckeElement(self.n, ring, _scalars(ring, out, dx * dy))
 
     # -- tensor embeddings ---------------------------------------------------
 
@@ -231,24 +269,25 @@ class HeckeElement:
         n = self.n
         if n == 0:
             raise ScalarError("nothing to close")
-        delta = ring.quantum_integer(ring.N)
+        terms, den = _numerators(self.terms)
+        # [N] and a v^-1 are integral, so the result stays over den
+        delta = _nonzero_terms(ring.quantum_integer(ring.N).nums)
         out: dict = {}
         # k -> the terms whose strand ending last starts at k, as w_pi'
         through: dict[int, dict] = {}
-        for p, c in self.terms.items():
+        for p, v in terms.items():
             if p[n - 1] == n - 1:
-                _accumulate(out, p[: n - 1], c * delta)
+                _accumulate(out, p[: n - 1], _schoolbook(ring, v, delta))
             else:
                 k = p.index(n - 1)
                 rest = tuple(x for x in p if x != n - 1)
-                through.setdefault(k, {})[rest] = c
-        curl = ring.a() * ring.v(-1)
-        mid, sq = _quadratic(ring, 1)
+                through.setdefault(k, {})[rest] = v
+        curl = ring.zeta(ring.a_exp - ring.v_exp).nums
         for k, rest in through.items():
             # u = s_k s_{k+1} ... s_{n-3} in S_{n-1}
             u = tuple(list(range(k)) + [n - 2] + list(range(k, n - 2)))
-            _product({u: curl}, rest, mid, sq, out)
-        return HeckeElement(n - 1, ring, out)
+            _product(ring, {u: curl}, rest, out)
+        return HeckeElement(n - 1, ring, _scalars(ring, out, den))
 
     def markov_trace(self) -> CycScalar:
         """Homflypt value of the closure of this element in the 3-sphere,
@@ -267,16 +306,19 @@ class HeckeElement:
 # ---------------------------------------------------------------------------
 
 def braid_word_to_element(word, n: int, ring: RingContext) -> HeckeElement:
-    """Evaluate a braid word (1-indexed signed generator indices) in H_n."""
-    terms = HeckeElement.identity(n, ring).terms
+    """Evaluate a braid word (1-indexed signed generator indices) in H_n.
+
+    The generator steps act on integer numerators over the denominator 1."""
+    _check_strands(n)
+    terms = {_identity(n): ring.one().nums}
     relations = {1: _quadratic(ring, 1), -1: _quadratic(ring, -1)}
     for w in word:
         i = abs(w) - 1
         if not 0 <= i <= n - 2:
             raise ScalarError(f"generator {w} out of range for {n} strands")
         sign = 1 if w > 0 else -1
-        terms = _step(terms, i, sign, *relations[sign])
-    return HeckeElement(n, ring, terms)
+        terms = _step(ring, terms, i, sign, relations[sign])
+    return HeckeElement(n, ring, _scalars(ring, terms, 1))
 
 
 def homfly_braid_closure(word, n: int, ring: RingContext) -> CycScalar:
@@ -382,10 +424,6 @@ def standard_tableaux(n: int) -> list[StandardTableau]:
     return result
 
 
-def standard_tableaux_of_shape(lam: YoungDiagram) -> list[StandardTableau]:
-    return [t for t in standard_tableaux(lam.size) if t.shape() == lam]
-
-
 def path_idempotent(t: StandardTableau, ring: RingContext,
                     n: int | None = None) -> HeckeElement:
     """Minimal idempotent of H_n attached to a standard tableau, built by
@@ -413,64 +451,7 @@ def path_idempotent(t: StandardTableau, ring: RingContext,
     return p
 
 
-def central_idempotent(lam: YoungDiagram, n: int, ring: RingContext) -> HeckeElement:
-    """z_lambda = sum of the path idempotents of shape lambda."""
-    total = HeckeElement(n, ring, {})
-    for t in standard_tableaux_of_shape(lam):
-        total = total + path_idempotent(t, ring, n)
-    return total
-
-
 def full_twist(n: int, ring: RingContext) -> HeckeElement:
     """(sigma_1 ... sigma_{n-1})^n."""
     word = list(range(1, n)) * n
     return braid_word_to_element(word, n, ring)
-
-
-# ---------------------------------------------------------------------------
-# Young quasi-idempotents
-# ---------------------------------------------------------------------------
-
-def _column_to_row_permutation(lam: YoungDiagram) -> tuple[int, ...]:
-    """Permutation sending column-reading positions to row-reading positions."""
-    cells_row = lam.cells()  # row-reading order
-    cells_col = sorted(cells_row, key=lambda c: (c[1], c[0]))
-    row_index = {c: k for k, c in enumerate(cells_row)}
-    return tuple(row_index[c] for c in cells_col)
-
-
-def young_quasi_idempotent(lam: YoungDiagram, ring: RingContext) -> HeckeElement:
-    """The row/column sandwich with y~^2 = [hl(lambda)] y~ where [hl] is the
-    product of the quantum hook lengths."""
-    n = lam.size
-    ring_one = HeckeElement.identity(n, ring)
-    # row blocks: [lam_i]! f_{lam_i} placed on consecutive row positions
-    F = ring_one
-    offset = 0
-    for r in lam.rows:
-        blk = ring.quantum_factorial(r) * symmetrizer(r, "f", ring)
-        F = F * _embed(blk, offset, n, ring)
-        offset += r
-    # column blocks in column-reading coordinates, conjugated into row coords
-    cols = lam.transpose().rows
-    G = ring_one
-    offset = 0
-    for c in cols:
-        blk = ring.quantum_factorial(c) * symmetrizer(c, "g", ring)
-        G = G * _embed(blk, offset, n, ring)
-        offset += c
-    wc = _column_to_row_permutation(lam)
-    w = HeckeElement.basis(wc, ring)
-    w_inv = braid_word_to_element([-(i + 1) for i in reversed(reduced_word(wc))], n, ring)
-    return F * (w_inv * G * w)
-
-
-def _embed(x: HeckeElement, offset: int, n: int, ring: RingContext) -> HeckeElement:
-    return x.tensor_left(offset).tensor_right(n - offset - x.n)
-
-
-def quantum_hook_product(lam: YoungDiagram, ring: RingContext) -> CycScalar:
-    total = ring.one()
-    for hl in lam.hook_lengths():
-        total = total * ring.quantum_integer(hl)
-    return total

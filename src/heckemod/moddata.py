@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .diagrams import (
@@ -236,6 +236,16 @@ class ModularData:
             r: tuple(i for i, x in enumerate(residues) if x == r)
             for r in range(d)}
 
+    # Delta_+^-1 and Omega^-1 for the normalization of tau and for fusion,
+    # inverted on first use
+    @cached_property
+    def _delta_plus_inv(self) -> CycScalar:
+        return self.delta_plus.invert()
+
+    @cached_property
+    def _omega_inv(self) -> CycScalar:
+        return self.omega.invert()
+
     def index(self, label) -> int:
         return self.labels.index(label)
 
@@ -334,8 +344,7 @@ def fusion_coefficients(data: ModularData, lam: YoungDiagram, mu: YoungDiagram) 
     """Fusion rules by diagonalizing with the S-matrix; exact nonnegative
     integers or an error."""
     if data._fusion_scale is None:
-        omega_inv = data.omega.invert()
-        data._fusion_scale = [omega_inv * d_.invert() for d_ in data.dims]
+        data._fusion_scale = [data._omega_inv * d_.invert() for d_ in data.dims]
     s_l = data.s_matrix[data.index(lam)]
     s_m = data.s_matrix[data.index(mu)]
     # S_lk S_mk / (omega <k>), shared by every nu

@@ -229,6 +229,25 @@ def _reduce_phi(ring: RingContext, prod: list[int]) -> tuple:
     return tuple(prod[:deg])
 
 
+def _nonzero_terms(vec) -> list:
+    """The (index, value) pairs of the nonzero entries of ``vec``."""
+    return [(j, y) for j, y in enumerate(vec) if y]
+
+
+def _schoolbook(ring: RingContext, xs, terms) -> tuple:
+    """The power-basis numerators of the product of the numerator vector
+    ``xs`` and the vector whose nonzero entries are ``terms``
+    (:func:`_nonzero_terms`): the schoolbook product, its top half folded
+    down through Phi_M.  The one product of numerator vectors, shared by
+    :meth:`CycScalar.__mul__` and the Hecke kernel."""
+    prod = [0] * (2 * ring.degree - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in terms:
+                prod[i + j] += x * y
+    return _reduce_phi(ring, prod)
+
+
 def _canonical(ring: RingContext, nums: tuple, den: int) -> "CycScalar":
     """nums/den with the common factor removed and the denominator positive."""
     g = math.gcd(den, *nums)
@@ -330,14 +349,7 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        terms = [(j, y) for j, y in enumerate(other.nums) if y]
-        # schoolbook product, then reduce the top half with x^deg = tail
-        prod = [0] * (2 * ring.degree - 1)
-        for i, x in enumerate(self.nums):
-            if x:
-                for j, y in terms:
-                    prod[i + j] += x * y
-        nums = _reduce_phi(ring, prod)
+        nums = _schoolbook(ring, self.nums, _nonzero_terms(other.nums))
         den = self.den * other.den
         if den == 1:
             return CycScalar(ring, nums)

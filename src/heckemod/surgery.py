@@ -532,9 +532,20 @@ def colored_bracket_direct(g: PlumbingGraph, data: ModularData,
 
 def _normalized(bracket: CycScalar, sigma: int, m: int,
                 data: ModularData) -> ExtScalar:
-    """(eta Delta_+)^(-sigma) eta^m times a bracket over m surgery vertices."""
-    return ExtScalar(bracket * data.delta_plus ** (-sigma), m - sigma,
-                     data.theory, data.omega)
+    """(eta Delta_+)^(-sigma) eta^m times a bracket over m surgery vertices.
+
+    With eta^2 = Omega^-1 and m - sigma = 2 half + rem, that is
+    Delta_+^-sigma Omega^-half eta^rem: the powers come from the inverses
+    kept on the data, and the eta power handed on is already in {0, 1}.
+    """
+    half, rem = divmod(m - sigma, 2)
+    if sigma:
+        bracket = bracket * (data._delta_plus_inv ** sigma if sigma > 0
+                             else data.delta_plus ** -sigma)
+    if half:
+        bracket = bracket * (data._omega_inv ** half if half > 0
+                             else data.omega ** -half)
+    return ExtScalar(bracket, rem, data.theory, data.omega)
 
 
 @dataclass

@@ -1,0 +1,71 @@
+"""Hecke-algebra constructions that only the tests use: central
+idempotents, Young quasi-idempotents and the quantum hook product."""
+
+from heckemod.diagrams import YoungDiagram
+from heckemod.hecke import (
+    HeckeElement,
+    StandardTableau,
+    braid_word_to_element,
+    path_idempotent,
+    reduced_word,
+    standard_tableaux,
+    symmetrizer,
+)
+from heckemod.scalars import CycScalar, RingContext
+
+
+def standard_tableaux_of_shape(lam: YoungDiagram) -> list[StandardTableau]:
+    return [t for t in standard_tableaux(lam.size) if t.shape() == lam]
+
+
+def central_idempotent(lam: YoungDiagram, n: int, ring: RingContext) -> HeckeElement:
+    """z_lambda = sum of the path idempotents of shape lambda."""
+    total = HeckeElement(n, ring, {})
+    for t in standard_tableaux_of_shape(lam):
+        total = total + path_idempotent(t, ring, n)
+    return total
+
+
+def _column_to_row_permutation(lam: YoungDiagram) -> tuple[int, ...]:
+    """Permutation sending column-reading positions to row-reading positions."""
+    cells_row = lam.cells()  # row-reading order
+    cells_col = sorted(cells_row, key=lambda c: (c[1], c[0]))
+    row_index = {c: k for k, c in enumerate(cells_row)}
+    return tuple(row_index[c] for c in cells_col)
+
+
+def young_quasi_idempotent(lam: YoungDiagram, ring: RingContext) -> HeckeElement:
+    """The row/column sandwich with y~^2 = [hl(lambda)] y~ where [hl] is the
+    product of the quantum hook lengths."""
+    n = lam.size
+    ring_one = HeckeElement.identity(n, ring)
+    # row blocks: [lam_i]! f_{lam_i} placed on consecutive row positions
+    F = ring_one
+    offset = 0
+    for r in lam.rows:
+        blk = ring.quantum_factorial(r) * symmetrizer(r, "f", ring)
+        F = F * _embed(blk, offset, n, ring)
+        offset += r
+    # column blocks in column-reading coordinates, conjugated into row coords
+    cols = lam.transpose().rows
+    G = ring_one
+    offset = 0
+    for c in cols:
+        blk = ring.quantum_factorial(c) * symmetrizer(c, "g", ring)
+        G = G * _embed(blk, offset, n, ring)
+        offset += c
+    wc = _column_to_row_permutation(lam)
+    w = HeckeElement.basis(wc, ring)
+    w_inv = braid_word_to_element([-(i + 1) for i in reversed(reduced_word(wc))], n, ring)
+    return F * (w_inv * G * w)
+
+
+def _embed(x: HeckeElement, offset: int, n: int, ring: RingContext) -> HeckeElement:
+    return x.tensor_left(offset).tensor_right(n - offset - x.n)
+
+
+def quantum_hook_product(lam: YoungDiagram, ring: RingContext) -> CycScalar:
+    total = ring.one()
+    for hl in lam.hook_lengths():
+        total = total * ring.quantum_integer(hl)
+    return total

@@ -27,13 +27,10 @@ from heckemod.diagrams import (
 from heckemod.hecke import (
     HeckeElement,
     addable_cells,
-    central_idempotent,
     full_twist,
     path_idempotent,
-    quantum_hook_product,
     standard_tableaux,
     symmetrizer,
-    young_quasi_idempotent,
 )
 from heckemod.moddata import (
     build_modular_data,
@@ -60,6 +57,12 @@ from heckemod.surgery import (
     random_forest,
     single_vertex,
     tau,
+)
+
+from hecke_helpers import (
+    central_idempotent,
+    quantum_hook_product,
+    young_quasi_idempotent,
 )
 
 GRID = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]

@@ -10,27 +10,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckemod import hecke
 from heckemod.diagrams import YoungDiagram, quantum_dimension, twist_coefficient
 from heckemod.hecke import (
+    MAX_STRANDS,
     HeckeElement,
     StandardTableau,
+    _numerators,
     _quadratic,
+    _scalars,
     _step,
     braid_word_to_element,
-    central_idempotent,
     full_twist,
     homfly_braid_closure,
     jucys_murphy,
     path_idempotent,
     perm_length,
-    quantum_hook_product,
     reduced_word,
     standard_tableaux,
-    standard_tableaux_of_shape,
     symmetrizer,
-    young_quasi_idempotent,
 )
 from heckemod.scalars import ScalarError, su_parameters
+
+from hecke_helpers import (
+    central_idempotent,
+    quantum_hook_product,
+    standard_tableaux_of_shape,
+    young_quasi_idempotent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +344,32 @@ def test_strand_cap(ctx):
         HeckeElement.identity(9, ctx)
 
 
+def test_strand_cap_before_any_product(ctx, monkeypatch):
+    # a word on MAX_STRANDS + 1 strands is refused before its first step
+    def step(*args):
+        raise AssertionError("a generator step ran")
+
+    monkeypatch.setattr(hecke, "_step", step)
+    word = list(range(1, MAX_STRANDS + 1)) * 4
+    for run in (braid_word_to_element, homfly_braid_closure):
+        with pytest.raises(ScalarError, match="exceeds the cap"):
+            run(word, MAX_STRANDS + 1, ctx)
+
+
+def test_scalar_multiples(ctx):
+    x = HeckeElement.generator(0, 3, ctx) - 3 * HeckeElement.identity(3, ctx)
+    half = Fraction(1, 2)
+    expected = x.scale(half)
+    assert x * half == half * x == expected
+    assert x * ctx.from_rational(half) == ctx.from_rational(half) * x == expected
+    assert x * 2 == 2 * x == x.scale(2)
+    for other in (0.5, "2", None):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
+
+
 def test_mismatched_strands(ctx):
     with pytest.raises(ScalarError):
         HeckeElement.identity(2, ctx) * HeckeElement.identity(3, ctx)
@@ -406,7 +439,9 @@ def markov_trace_plain(x):
     return x.terms.get((), ring.zero())
 
 
-ORACLE_RANK_LEVELS = [(2, 3), (3, 3), (2, 5)]
+# root orders 20, 36, 28, 30 and 16, field degrees 8, 12, 12, 8 and 8;
+# Phi_30 folds through a six-term tail, Phi_16 through one term
+ORACLE_RANK_LEVELS = [(2, 3), (3, 3), (2, 5), (3, 2), (2, 2)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -456,16 +491,23 @@ def test_product_matches_plain(xy):
     assert (x * y).terms == mul_plain(x, y).terms
 
 
+def step(x, i, sign):
+    """The term dict of x * sigma_i^sign through the kernel's generator
+    step."""
+    ring = x.ring
+    terms, den = _numerators(x.terms)
+    return _scalars(ring, _step(ring, terms, i, sign, _quadratic(ring, sign)),
+                    den)
+
+
 @settings(max_examples=60, deadline=None)
 @given(element_pairs(), st.data())
 def test_generator_steps_match_plain(xy, data):
     x, _ = xy
     ring = x.ring
     i = data.draw(st.integers(0, x.n - 2))
-    assert _step(x.terms, i, 1, *_quadratic(ring, 1)) == \
-        times_generator_plain(x, i).terms
-    assert _step(x.terms, i, -1, *_quadratic(ring, -1)) == \
-        times_inverse_plain(x, i).terms
+    assert step(x, i, 1) == times_generator_plain(x, i).terms
+    assert step(x, i, -1) == times_inverse_plain(x, i).terms
     word = data.draw(st.lists(st.integers(1, x.n - 1).flatmap(
         lambda g: st.sampled_from((g, -g))), max_size=10))
     expected = HeckeElement.identity(x.n, ring)
@@ -473,6 +515,20 @@ def test_generator_steps_match_plain(xy, data):
         expected = times_generator_plain(expected, w - 1) if w > 0 \
             else times_inverse_plain(expected, -w - 1)
     assert braid_word_to_element(word, x.n, ring).terms == expected.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs(), st.data())
+def test_generator_times_inverse_round_trip(xy, data):
+    # on elements whose coefficients have mixed denominators
+    x, _ = xy
+    ring = x.ring
+    i = data.draw(st.integers(0, x.n - 2))
+    terms, den = _numerators(x.terms)
+    for sign in (1, -1):
+        there = _step(ring, terms, i, sign, _quadratic(ring, sign))
+        back = _step(ring, there, i, -sign, _quadratic(ring, -sign))
+        assert _scalars(ring, back, den) == x.terms
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,12 +545,13 @@ def test_markov_trace_matches_plain(xy):
 @pytest.mark.parametrize("N,K", ORACLE_RANK_LEVELS)
 def test_generator_times_inverse_on_basis(N, K):
     ring = oracle_ring(N, K)
-    forward, backward = _quadratic(ring, 1), _quadratic(ring, -1)
     for p in itertools.permutations(range(4)):
-        one = {p: ring.one()}
+        one = HeckeElement.basis(p, ring)
         for i in range(3):
-            assert _step(_step(one, i, 1, *forward), i, -1, *backward) == one
-            assert _step(_step(one, i, -1, *backward), i, 1, *forward) == one
+            there = HeckeElement(4, ring, step(one, i, 1))
+            assert step(there, i, -1) == one.terms
+            there = HeckeElement(4, ring, step(one, i, -1))
+            assert step(there, i, 1) == one.terms
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
