@@ -529,18 +529,23 @@ def _field_bias(count: int, width: int) -> int:
     return (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
 
 
-def _from_packed(ring: RingContext, v: int, count: int, width: int,
-                 den: int) -> CycScalar:
-    """The scalar of ``ring`` whose numerators over ``den``, before
-    reduction modulo Phi_M, are the lowest ``count`` signed fields of the
-    packed integer ``v`` (count <= 2*deg - 1), exact when each field lies
-    strictly between -2^(width-1) and 2^(width-1)."""
+def _unpack(ring: RingContext, v: int, count: int, width: int) -> tuple:
+    """The power-basis numerators, reduced modulo Phi_M, of the integer
+    polynomial whose coefficients are the lowest ``count`` signed fields of
+    the packed integer ``v`` (count <= 2*deg - 1), exact when each field
+    lies strictly between -2^(width-1) and 2^(width-1)."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     # adding half to every field makes each one a nonnegative digit
     v += _field_bias(count, width)
     prod = [(v >> t & mask) - half for t in range(0, count * width, width)]
-    return _canonical(ring, _reduce_phi(ring, prod), den)
+    return _reduce_phi(ring, prod)
+
+
+def _from_packed(ring: RingContext, v: int, count: int, width: int,
+                 den: int) -> CycScalar:
+    """The scalar ``_unpack(ring, v, count, width)`` / ``den``."""
+    return _canonical(ring, _unpack(ring, v, count, width), den)
 
 
 def _packed_dot(xs: _PackedRows, ys: _PackedRows):

@@ -19,13 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from operator import mul
 
 from .diagrams import ReducedLabel, YoungDiagram, twist_exponent
 from .moddata import ModularData
 from .scalars import (CycScalar, ExtScalar, ScalarError, _canonical,
-                      _common_den, _from_packed, _pack)
+                      _common_den, _nonzero_terms, _pack, _schoolbook,
+                      _unpack)
 
 __all__ = [
     "PlumbingGraph",
@@ -377,21 +376,25 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
     Equal keys must mean equal specs.
 
     The preorder is read backwards, so each vertex folds into its parent
-    after all of its children have folded into it.  A vertex's values are
-    the products of its children's messages, divided by the contents below
-    (the first child's messages are taken as they are, later ones
-    multiply), times its factors; ``_vertex_vectors`` turns them into
-    content-free numerators and applies the rotations.  The message to the
-    parent label j, sum_i value_i * matrix[i][j], is then one packed
-    integer (``_messages``).  The contents multiply into one exact scale,
-    applied once to the result.
+    after all of its children have folded into it.  Values and messages
+    stay integer numerator vectors from leaf to root, with their contents
+    and denominators multiplied into one exact scale.  A vertex's values
+    are the products of its children's messages (the first child's are
+    taken as they are, later ones multiply in by ``_schoolbook``), times
+    its factors; ``_vertex_vectors`` turns them into content-free
+    numerators and applies the rotations.  The message to the parent label
+    j, sum_i value_i * matrix[i][j], is then one packed integer sum,
+    unpacked to its numerators over the vertex's denominator times the
+    matrix denominator D (``_messages``).  The sums at the tree roots
+    multiply, and the scale is applied once to the result.
 
     The messages of a leaf depend only on its spec and its parent's labels,
     so they are kept in ``leaf_messages`` under (key, parent labels).
     """
-    total = ctx.one()
+    matrix_den = matrix_terms[1]
+    total = ctx.one().nums  # the product of the tree sums so far
     scale_num = scale_den = 1
-    below = {}  # vertex -> values its eliminated children left, by label
+    below = {}  # vertex -> products of its eliminated children's messages
     for vid, parent in reversed(g.preorder):
         spec = specs[vid]
         values = below.pop(vid, None)
@@ -403,7 +406,7 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
             found = leaf_messages.get(key) if values is None else None
             if found is None:
                 content, den, vecs = _vertex_vectors(ctx, spec, values)
-                found = content, den, _messages(
+                found = content, den * matrix_den, _messages(
                     ctx, vecs, spec[1], targets, matrix_terms) \
                     if content else None
                 if values is None:
@@ -414,29 +417,38 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
         scale_num *= content
         scale_den *= den
         if parent is None:
-            total = total * _canonical(ctx, tuple(map(sum, zip(*vecs))), 1)
+            total = _schoolbook(ctx, tuple(map(sum, zip(*vecs))),
+                                _nonzero_terms(total))
         else:
             up = below.get(parent)
-            below[parent] = messages if up is None else \
-                list(map(mul, up, messages))
-    return total * Fraction(scale_num, scale_den)
+            below[parent] = messages if up is None else [
+                _schoolbook(ctx, x, _nonzero_terms(y))
+                for x, y in zip(up, messages)]
+    return _canonical(ctx, tuple(x * scale_num for x in total), scale_den)
 
 
 def _vertex_vectors(ctx, spec, values):
-    """(content, den, vecs): the values of a vertex, ``values`` (its
-    children's product, None at a leaf) times its factors times
-    zeta^rotation, as content * vecs / den with vecs content-free integer
-    numerator vectors.  content is 0 when every value is zero.
+    """(content, den, vecs): the values of a vertex, ``values`` (integer
+    numerator vectors, its children's product, None at a leaf) times its
+    factors times zeta^rotation, as content * vecs / den with vecs
+    content-free integer numerator vectors.  The factors are put over their
+    common denominator den and multiply in only where the spec has them
+    (den is 1 otherwise).  content is 0 when every value is zero.
 
     zeta is a unit of Z[zeta], so multiplying by zeta^r keeps the content
     and the denominator: the rotation moves each content-free numerator
     x_i zeta^i to x_i zeta^(i + r), one power sum of integers."""
     _, labels, factors, rotations = spec
+    den = 1
     if factors is not None:
-        values = factors if values is None else list(map(mul, values, factors))
-    elif values is None:
-        values = [ctx.one()] * len(labels)
-    vecs, den = _common_den(values)
+        vecs, den = _common_den(factors)
+        if values is not None:
+            vecs = [_schoolbook(ctx, v, _nonzero_terms(f))
+                    for v, f in zip(values, vecs)]
+    else:
+        # a copy, as the children's messages may be kept as leaf messages
+        vecs = [ctx.one().nums] * len(labels) if values is None \
+            else list(values)
     content = 0
     for v in vecs:
         content = math.gcd(content, *v)
@@ -449,17 +461,18 @@ def _vertex_vectors(ctx, spec, values):
 
 
 def _messages(ctx, vecs, labels, targets, matrix_terms) -> list:
-    """The message sum_i vecs_i * matrix[i][j] to each target label j, over
-    the content-free vectors ``vecs`` of the vertex's ``labels``, as one
-    packed integer per j.
+    """The message sum_i vecs_i * D * matrix[i][j] to each target label j,
+    over the content-free vectors ``vecs`` of the vertex's ``labels``, as
+    its integer numerators reduced modulo Phi_M (``scalars._unpack``), with
+    D the matrix denominator of ``_sparse_columns``.
 
-    Each nonzero term s x^t of matrix[i][j] adds s times vecs_i packed and
-    shifted by t fields.  A coefficient of the message before reduction is
-    at most (labels) * (most terms of an entry) * max|s| * max|vecs| in
+    Each nonzero term s x^t of D * matrix[i][j] adds s times vecs_i packed
+    and shifted by t fields.  A coefficient of the message before reduction
+    is at most (labels) * (most terms of an entry) * max|s| * max|vecs| in
     absolute value, so the field width is that bound's bit length plus a
     sign bit."""
     deg = ctx.degree
-    columns, rows, term_bound = matrix_terms
+    columns, _, rows, term_bound = matrix_terms
     largest = max(max(map(max, vecs)), -min(map(min, vecs)))
     width = (len(vecs) * term_bound * largest).bit_length() + 1
     shifts = range(0, deg * width, width)
@@ -472,29 +485,31 @@ def _messages(ctx, vecs, labels, targets, matrix_terms) -> list:
     get = shifted.__getitem__
     messages = []
     for j in targets:
-        col_den, by_coeff = columns[j]
         acc = 0
-        for s, places in by_coeff:
+        for s, places in columns[j]:
             acc += s * sum(map(get, places))
-        messages.append(_from_packed(ctx, acc, 2 * deg - 1, width, col_den))
+        messages.append(_unpack(ctx, acc, 2 * deg - 1, width))
     return messages
 
 
 def _sparse_columns(matrix, deg: int):
-    """The nonzero terms s x^t of ``matrix`` column by column.
+    """The nonzero terms s x^t of ``matrix`` column by column, over one
+    denominator.
 
-    Column j becomes (D_j, [(s, places)]), D_j the lcm of the column's
-    denominators and ``places`` the positions i * deg + t of the terms of
-    coefficient s among the entries D_j * matrix[i][j].  Also returns the
-    number of rows and the most terms of an entry times the largest |s|.
+    Returns (columns, D, rows, term_bound).  D is the lcm of the
+    denominators of all entries, and column j is a list of (s, places),
+    ``places`` the positions i * deg + t of the terms of coefficient s
+    among the numerators D * matrix[i][j].  term_bound is the most terms of
+    an entry times the largest |s|.
     """
     rows = len(matrix)
+    vecs, den = _common_den([x for column in zip(*matrix) for x in column])
     most_terms = max_coeff = 0
     columns = []
-    for column in zip(*matrix):
-        vecs, col_den = _common_den(column)
+    # vecs is column-major: each run of ``rows`` vectors is one column
+    for column in zip(*[iter(vecs)] * rows):
         by_coeff = {}
-        for base, nums in zip(range(0, rows * deg, deg), vecs):
+        for base, nums in zip(range(0, rows * deg, deg), column):
             terms = 0
             for t, s in enumerate(nums):
                 if s:
@@ -502,8 +517,8 @@ def _sparse_columns(matrix, deg: int):
                     by_coeff.setdefault(s, []).append(base + t)
             most_terms = max(most_terms, terms)
         max_coeff = max(max_coeff, *map(abs, by_coeff), 0)
-        columns.append((col_den, list(by_coeff.items())))
-    return columns, rows, most_terms * max_coeff
+        columns.append(list(by_coeff.items()))
+    return columns, den, rows, most_terms * max_coeff
 
 
 def colored_bracket_direct(g: PlumbingGraph, data: ModularData,

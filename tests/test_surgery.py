@@ -562,7 +562,10 @@ def seeded_chain(length, seed):
     return chain([rng.randint(-3, 3) for _ in range(length)])
 
 
-@pytest.mark.parametrize("NK,theory", [((3, 3), "su"), ((2, 6), "reduced")])
+@pytest.mark.parametrize("NK,theory", [
+    ((3, 3), "su"), ((2, 6), "reduced"),
+    # rank-levels where the packing width grows along a chain
+    ((2, 6), "su"), ((2, 3), "su"), ((2, 3), "reduced")])
 @pytest.mark.parametrize("length", [300, 1000])
 def test_long_chain_matches_plain_messages(NK, theory, length):
     data = modular(*NK, theory)
@@ -588,7 +591,8 @@ def test_weight_table_dies_with_its_data():
 def test_leaf_messages_live_on_their_data():
     # the leaf messages are filled on the data and nowhere else: the module
     # namespace is unchanged, a warm table gives the bracket of a cold one,
-    # and the ring the messages hold goes with the data
+    # the messages are integer numerator tuples that hold no ring, and the
+    # ring goes with the data
     from heckemod import surgery
     names = {name: id(x) for name, x in vars(surgery).items()}
     data = build_modular_data(2, 3, "su")
@@ -596,8 +600,11 @@ def test_leaf_messages_live_on_their_data():
         ("x", -1, None), ("y", -1 + data.ctx.M, None), ("z", 2, LINK)]))
     cold = colored_bracket(g, data)
     assert data._leaf_messages
-    assert all(x.ring is data.ctx for _, _, messages in
-               data._leaf_messages.values() for x in messages)
+    deg = data.ctx.degree
+    assert all(type(x) is tuple and len(x) == deg
+               and all(type(c) is int for c in x)
+               for _, _, messages in data._leaf_messages.values()
+               for x in messages)
     assert colored_bracket(g, data) == cold
     assert colored_bracket(g, build_modular_data(2, 3, "su")) == cold
     assert {name: id(x) for name, x in vars(surgery).items()} == names
@@ -866,7 +873,26 @@ def test_neumann_moves_preserve_tau(theory, NK, colors):
 def test_presentation_independence(theory, NK):
     # chain [-3, -1] blows down to U_{-2}; chain [2, 1] blows down to U_1
     data = build_modular_data(*NK, theory)
-    lhs = tau(chain([-3, -1]), data).value.embed()
-    rhs = tau(single_vertex(-2), data).value.embed()
-    assert abs(lhs - rhs) < 1e-9
-    assert abs(tau(chain([2, 1]), data).value.embed() - 1) < 1e-9
+    assert tau(chain([-3, -1]), data).value == \
+        tau(single_vertex(-2), data).value
+    assert_is_one(tau(chain([2, 1]), data))
+
+
+@pytest.mark.parametrize("NK,theory", [((2, 3), "su"), ((3, 3), "reduced"),
+                                       ((2, 6), "reduced")])
+def test_lens_space_presentations_agree_exactly(NK, theory):
+    # a chain of framings <= -2 presents a lens space (Neumann, Trans. AMS
+    # 268, 1981); the reversed chain is the same plumbing eliminated from
+    # the other end, and a blow-up of an edge, (a, b) -> (a - 1, -1, b - 1),
+    # presents the same manifold, so all three give the same tau exactly
+    data = modular(*NK, theory)
+    rng = random.Random(2027)
+    framings = [rng.choice((-2, -3, -4)) for _ in range(600)]
+    blown = list(framings)
+    for _ in range(50):
+        k = rng.randrange(len(blown) - 1)
+        blown[k:k + 2] = [blown[k] - 1, -1, blown[k + 1] - 1]
+    expected = tau(chain(framings), data).value
+    assert not expected.base.is_zero()
+    assert tau(chain(framings[::-1]), data).value == expected
+    assert tau(chain(blown), data).value == expected
