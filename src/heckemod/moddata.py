@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .diagrams import (
     EMPTY,
@@ -29,9 +29,11 @@ from .scalars import (
     CycScalar,
     RingContext,
     ScalarError,
+    _dot_width,
     _PackedRows,
     _packed_combination,
     _packed_dot,
+    _unpack,
     solve_framing_reduced,
     su_parameters,
 )
@@ -54,12 +56,15 @@ def _signed_permutations(N: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _permutation_getters(N: int) -> tuple:
-    """For the even and for the odd permutations pi of range(N), itemgetters
-    of the cells (i, pi(i)) of a row-major N x N table."""
+def _permutation_getters(n: int) -> tuple:
+    """For the even and for the odd permutations pi of range(n), getters of
+    the cells (i, pi(i)) of a row-major n x n table, each returning a
+    sequence."""
     even, odd = [], []
-    for pi, sign in _signed_permutations(N):
-        get = itemgetter(*(i * N + p for i, p in enumerate(pi)))
+    for pi, sign in _signed_permutations(n):
+        cells = [i * n + p for i, p in enumerate(pi)]
+        # itemgetter of one index returns the item, a slice a sequence
+        get = itemgetter(*cells) if n > 1 else itemgetter(slice(0, 1))
         (even if sign == 1 else odd).append(get)
     return tuple(even), tuple(odd)
 
@@ -74,7 +79,7 @@ def _alternant_histogram(ctx: RingContext, exponents: list[int],
     for j in range(len(powers)):
         table[j] += shift
     hist = [0] * M
-    even, odd = _permutation_getters(ctx.N)
+    even, odd = _permutation_getters(len(powers))
     for get in even:
         hist[sum(get(table)) % M] += 1
     for get in odd:
@@ -144,24 +149,48 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
     mu), and e = 2a|lam||mu| - (N-1)s(|lam| + |mu|), plus the column-object
     crossing term for reduced labels, as an exponent of zeta.  e shifts the
     index of the alternant's histogram h, so the entry is the combination
-    sum_k h_k c zeta^k of one packed table, with sum |h_k| <= N!.
+    sum_k h_k c zeta^k of one packed table.
+
+    When K < N the N x N alternant becomes a K x K one.  A(lam, mu) is the
+    minor on the rows {l_i} and the columns {m_j} of the Fourier matrix
+    (s^(2ab)) of Z/(N+K), since s^2 has order N + K, and the inverse of that
+    matrix is its conjugate over N + K.  Jacobi's complementary-minor
+    theorem then gives A(lam, mu) = kappa (-1)^(|lam|+|mu|) A'(lam, mu) for
+    one constant kappa of the ring, where A'(lam, mu) = det(s^(-2 a b)) over
+    the complements of {l_i} and of {m_j} in {0, ..., N+K-1}.  kappa
+    cancels against the same identity at lam = mu = empty, so c = 1/A'(empty,
+    empty).  M is even, so the sign is zeta^((M/2)(|lam|+|mu|)) and joins
+    e.  Either way sum |h_k| <= min(N, K)!.
     """
-    N, M = ctx.N, ctx.M
+    N, K, M = ctx.N, ctx.K, ctx.M
     rho = list(range(N - 1, -1, -1))
-    c = _alternant(ctx, [2 * ctx.s_exp * r for r in rho], rho).invert()
+    complement = K < N
+    size, t = (K, -2 * ctx.s_exp) if complement else (N, 2 * ctx.s_exp)
+
+    def indices(lam):
+        """The alternant's row (and column) indices for lam, descending."""
+        top = [lam.row(r) + rho[r] for r in range(N)]
+        if complement:
+            return [x for x in range(N + K - 1, -1, -1) if x not in top]
+        return top
+
+    base = indices(EMPTY)
+    c = _alternant(ctx, [t * x for x in base], base).invert()
     powers = _PackedRows(ctx, [[CycScalar(ctx, ctx.power_sum(c.nums, 1, k),
                                           c.den) for k in range(M)]])
-    width = (math.factorial(N) * powers.bound).bit_length() + 1
+    width = (math.factorial(size) * powers.bound).bit_length() + 1
 
-    parts = []  # (column power, size, l, 2 s_exp l) per label
+    parts = []  # (column power, size, indices, t * indices) per label
     for lab in labels:
         i, lam = (lab.i, lab.diagram) if isinstance(lab, ReducedLabel) \
             else (0, lab)
-        top = [lam.row(r) + rho[r] for r in range(N)]
-        parts.append((i, lam.size, top, [2 * ctx.s_exp * x % M for x in top]))
+        top = indices(lam)
+        parts.append((i, lam.size, top, [t * x % M for x in top]))
     # the column-object crossing factor a^N s is a root of unity
     cross = 2 * (ctx.a_exp * N + ctx.s_exp)
-    a2, s1 = 2 * ctx.a_exp, (N - 1) * ctx.s_exp
+    # zeta^(M/2) = -1 carries the complement's sign (-1)^(|lam|+|mu|)
+    flip = M // 2 if complement else 0
+    a2, s1 = 2 * ctx.a_exp, (N - 1) * ctx.s_exp + flip
     s_matrix = []
     for i, size_l, top, _ in parts:
         row = []
@@ -172,6 +201,32 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
             row.append(_packed_combination(powers, hist, width))
         s_matrix.append(row)
     return s_matrix
+
+
+def _is_modular(rows: _PackedRows, conj: _PackedRows,
+                omega: CycScalar) -> bool:
+    """S conj(S) = omega I, for the packed rows of S and of conj(S).
+
+    Entry (i, j) of the product is sum_k S_ik conj(S_jk), so the product is
+    Hermitian and its entries with i <= j decide every entry.  Each is
+    unpacked to its integer numerators, which stand over the two rows'
+    denominators, and compared with omega (i = j) or zero (i < j) without
+    forming a scalar.
+    """
+    ring = rows.ring
+    width = _dot_width(rows, conj)
+    px, py = rows.at(width), conj.at(width)
+    terms = 2 * ring.degree - 1
+    zero = (0,) * ring.degree
+    for i, (xrow, dx) in enumerate(zip(px, rows.dens)):
+        diag = _unpack(ring, sum(map(mul, xrow, py[i])), terms, width)
+        scale = dx * conj.dens[i]
+        if any(x * omega.den != y * scale for x, y in zip(diag, omega.nums)):
+            return False
+        for yrow in py[i + 1:]:
+            if _unpack(ring, sum(map(mul, xrow, yrow)), terms, width) != zero:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +269,9 @@ class ModularData:
     # leaf elimination the label indices of each degree residue mod d
     # (None: all labels), the surgery vertex weights by (labels, e,
     # f mod M), the messages of leaves by (that key, the parent's labels)
-    # and the sparse term table of S; all live as long as this data
+    # and the sparse term table of S; for the normalization of tau
+    # Delta_+^-sigma Omega^-half by (sigma, half); all live as long as this
+    # data
     _s_conj_packed: _PackedRows = field(
         init=False, repr=False, compare=False)
     _fusion_scale: list | None = field(
@@ -226,6 +283,8 @@ class ModularData:
         default_factory=dict, init=False, repr=False, compare=False)
     _s_terms: tuple | None = field(
         default=None, init=False, repr=False, compare=False)
+    _normalizers: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._s_conj_packed = _PackedRows(
@@ -317,11 +376,8 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     else:
         report["delta_product"] = dplus * dminus == omega
     # modularity S S-bar = omega I
-    rows = _packed_dot(_PackedRows(ctx, s_matrix), data._s_conj_packed)
-    zero = ctx.zero()
-    report["modular"] = all(
-        x == (omega if i == j else zero)
-        for i, row in enumerate(rows) for j, x in enumerate(row))
+    report["modular"] = _is_modular(_PackedRows(ctx, s_matrix),
+                                    data._s_conj_packed, omega)
 
     # The degree-zero sub-theory is degenerate whenever gcd(N, K) > 1: the
     # labels in the spectral-flow orbit of the empty diagram have identical

@@ -548,22 +548,31 @@ def _from_packed(ring: RingContext, v: int, count: int, width: int,
     return _canonical(ring, _unpack(ring, v, count, width), den)
 
 
+def _dot_width(xs: _PackedRows, ys: _PackedRows) -> int:
+    """The field width at which a sum of products of an entry of ``xs`` and
+    an entry of ``ys`` unpacks exactly.
+
+    A coefficient of the unreduced sum polynomial is a sum of at most
+    length * deg products of numerators, so it is at most
+    bound = length * deg * max|x| * max|y| in absolute value and fits in a
+    signed field of bit_length(bound) + 1 bits.  A packing already made at
+    a wider width is reused.
+    """
+    bound = max(xs.length, ys.length) * xs.ring.degree * xs.bound * ys.bound
+    return max(bound.bit_length() + 1, xs.width, ys.width)
+
+
 def _packed_dot(xs: _PackedRows, ys: _PackedRows):
     """Yield [sum_k x_ik * y_jk for each row j of ys] for each row i of xs,
     exactly.
 
-    Each term is one product of packed integers.  A coefficient of the
-    unreduced sum polynomial is a sum of at most length * deg products of
-    numerators, so it is at most bound = length * deg * max|x| * max|y| in
-    absolute value and fits in a signed field of bit_length(bound) + 1 bits.
-    The summed integer is unpacked once, reduced modulo Phi_M once and put
-    over the two rows' denominators.
+    Each term is one product of packed integers at :func:`_dot_width`.  The
+    summed integer is unpacked once, reduced modulo Phi_M once and put over
+    the two rows' denominators.
     """
     ring = xs.ring
     deg = ring.degree
-    bound = max(xs.length, ys.length) * deg * xs.bound * ys.bound
-    # reuse a packing already made at a wider width
-    width = max(bound.bit_length() + 1, xs.width, ys.width)
+    width = _dot_width(xs, ys)
     px, py = xs.at(width), ys.at(width)
     terms = 2 * deg - 1
     for xrow, dx in zip(px, xs.dens):

@@ -550,16 +550,19 @@ def _normalized(bracket: CycScalar, sigma: int, m: int,
     """(eta Delta_+)^(-sigma) eta^m times a bracket over m surgery vertices.
 
     With eta^2 = Omega^-1 and m - sigma = 2 half + rem, that is
-    Delta_+^-sigma Omega^-half eta^rem: the powers come from the inverses
-    kept on the data, and the eta power handed on is already in {0, 1}.
+    Delta_+^-sigma Omega^-half eta^rem: the factor Delta_+^-sigma
+    Omega^-half is kept on the data by (sigma, half), so a call makes one
+    product, and the eta power handed on is already in {0, 1}.
     """
     half, rem = divmod(m - sigma, 2)
-    if sigma:
-        bracket = bracket * (data._delta_plus_inv ** sigma if sigma > 0
-                             else data.delta_plus ** -sigma)
-    if half:
-        bracket = bracket * (data._omega_inv ** half if half > 0
-                             else data.omega ** -half)
+    if sigma or half:
+        scale = data._normalizers.get((sigma, half))
+        if scale is None:
+            scale = data._normalizers[sigma, half] = (
+                data._delta_plus_inv ** sigma if sigma > 0
+                else data.delta_plus ** -sigma) * (
+                data._omega_inv ** half if half > 0 else data.omega ** -half)
+        bracket = bracket * scale
     return ExtScalar(bracket, rem, data.theory, data.omega)
 
 

@@ -324,17 +324,18 @@ def test_verification_failure_exit(capsys):
 
 
 def test_failed_construction_identity_is_fatal(monkeypatch, tmp_path, capsys):
-    # one wrong entry of S conj(S) during the build: a computation error for
-    # every theory except psu at gcd(N, K) > 1, where a failed modularity
-    # check is reported (exit 3) rather than raised
-    packed_dot = moddata._packed_dot
+    # one wrong entry of S in the modularity check of the build (S_00 + 1):
+    # a computation error for every theory except psu at gcd(N, K) > 1,
+    # where a failed modularity check is reported (exit 3) rather than raised
+    is_modular = moddata._is_modular
 
-    def spoiled(xs, ys):
-        rows = [list(row) for row in packed_dot(xs, ys)]
-        rows[0][0] = rows[0][0] + rows[0][0]
-        return rows
+    def spoiled(rows, conj, omega):
+        row = rows.nums[0]
+        row[0] = (row[0][0] + rows.dens[0],) + row[0][1:]
+        rows.bound = max(rows.bound, abs(row[0][0]))
+        return is_modular(rows, conj, omega)
 
-    monkeypatch.setattr(moddata, "_packed_dot", spoiled)
+    monkeypatch.setattr(moddata, "_is_modular", spoiled)
     for N, K, theory in [(3, 3, "su"), (3, 3, "reduced"), (2, 3, "psu")]:
         with pytest.raises(ScalarError, match="modular"):
             build_modular_data(N, K, theory)

@@ -22,6 +22,8 @@ from heckemod.moddata import (
     THEORIES,
     ModularData,
     _alternant,
+    _alternant_histogram,
+    _is_modular,
     _signed_permutations,
     build_modular_data,
     fusion_coefficients,
@@ -287,27 +289,36 @@ def test_packed_modularity_matches_triple_loop(N, K, theory, modular):
 
 
 def _alternant_by_permutations(ctx, exponents, powers):
+    n = len(powers)
     total = ctx.zero()
-    for pi, sign in _signed_permutations(ctx.N):
-        term = ctx.zeta(sum(exponents[i] * powers[pi[i]]
-                            for i in range(ctx.N)))
+    for pi, sign in _signed_permutations(n):
+        term = ctx.zeta(sum(exponents[i] * powers[pi[i]] for i in range(n)))
         total = total + term if sign == 1 else total - term
     return total
 
 
 @pytest.mark.parametrize("ctx", [
     su_parameters(2, 3), su_parameters(3, 3), su_parameters(4, 2),
-    su_parameters(5, 2), solve_framing_reduced(4, 2)[2]],
-    ids=["su23", "su33", "su42", "su52", "reduced42"])
+    su_parameters(5, 2), su_parameters(4, 1), solve_framing_reduced(4, 2)[2]],
+    ids=["su23", "su33", "su42", "su52", "su41", "reduced42"])
 def test_alternant_histogram_matches_permutation_sum(ctx):
     rng = random.Random(ctx.M)
-    for _ in range(20):
-        exponents = [rng.randrange(ctx.M) for _ in range(ctx.N)]
-        # repeated powers give a vanishing alternant
-        powers = [rng.randrange(-ctx.M, ctx.M) for _ in range(ctx.N)]
-        got = _alternant(ctx, exponents, powers)
-        want = _alternant_by_permutations(ctx, exponents, powers)
-        assert (got.nums, got.den) == (want.nums, want.den)
+    # N x N as in s_matrix_entry, K x K as in the complement build of S, and
+    # 1 x 1, whose one cell needs its own getter
+    for size in sorted({ctx.N, ctx.K, 1}):
+        for _ in range(20):
+            exponents = [rng.randrange(ctx.M) for _ in range(size)]
+            # repeated powers give a vanishing alternant
+            powers = [rng.randrange(-ctx.M, ctx.M) for _ in range(size)]
+            got = _alternant(ctx, exponents, powers)
+            want = _alternant_by_permutations(ctx, exponents, powers)
+            assert (got.nums, got.den) == (want.nums, want.den), size
+            # the shift that the S build folds in
+            shift = rng.randrange(ctx.M)
+            hist = _alternant_histogram(ctx, exponents, powers, shift)
+            got = CycScalar(ctx, ctx.power_sum(hist))
+            want = ctx.zeta(shift) * want
+            assert (got.nums, got.den) == (want.nums, want.den), size
 
 
 def test_packed_conj_s_dies_with_its_data():
@@ -351,6 +362,76 @@ def test_built_s_matches_entry_oracle_at_column_powers(N, K):
     # the crossing term of the column object is exercised
     assert any(lab.i > 0 for lab in data.labels)
     _assert_s_matches_entries(data)
+
+
+@pytest.mark.parametrize("N,K,theory", [
+    (3, 1, "su"), (4, 1, "su"), (4, 2, "su"), (4, 3, "su"), (5, 2, "su"),
+    (5, 3, "su"), (6, 2, "su"), (4, 2, "reduced"), (5, 3, "reduced"),
+    (6, 3, "reduced"), (7, 2, "psu")])
+def test_complement_s_matches_entry_oracle(N, K, theory):
+    # K < N: S is built from K x K alternants of the complements, the
+    # oracle from N x N alternants
+    _assert_s_matches_entries(build_modular_data(N, K, theory))
+
+
+def _packed_s_and_conj(ctx, S):
+    return (_PackedRows(ctx, S),
+            _PackedRows(ctx, ([x.conjugate() for x in row] for row in S)))
+
+
+def _modular_in_full(ctx, S, omega):
+    """S conj(S) = omega I, checked on all n^2 entries as scalars."""
+    zero = ctx.zero()
+    rows = _packed_dot(*_packed_s_and_conj(ctx, S))
+    return all(x == (omega if i == j else zero)
+               for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
+@pytest.mark.parametrize("N,K,theory,modular", [
+    (3, 3, "su", True), (4, 2, "su", True), (5, 2, "reduced", True),
+    (2, 4, "reduced", True), (3, 3, "psu", False)])
+def test_modularity_on_half_agrees_with_all_entries(N, K, theory, modular):
+    data = build_modular_data(N, K, theory)
+    ctx, S, omega = data.ctx, data.s_matrix, data.omega
+    assert _is_modular(*_packed_s_and_conj(ctx, S), omega) is modular
+    assert _modular_in_full(ctx, S, omega) is modular
+    rng = random.Random(N * 100 + K)
+    n = len(S)
+    # one entry spoiled strictly below, then strictly above, the diagonal
+    for lower in (True, False):
+        for _ in range(3):
+            i, j = sorted(rng.sample(range(n), 2), reverse=lower)
+            spoiled = [list(row) for row in S]
+            spoiled[i][j] = S[i][j] + ctx.zeta(rng.randrange(ctx.M))
+            assert _is_modular(*_packed_s_and_conj(ctx, spoiled),
+                               omega) is False, (i, j)
+            assert _modular_in_full(ctx, spoiled, omega) is False, (i, j)
+
+
+@pytest.mark.parametrize("N,K,theory", [(3, 2, "su"), (4, 2, "reduced")])
+def test_modularity_on_half_sees_every_entry(N, K, theory):
+    # conj(S) rows that move the product S conj(S) away from omega I by a
+    # Hermitian perturbation at exactly one pair (i, j), i <= j: adding
+    # conj(S_i) delta / omega to row j of conj(S) adds delta at (i, j) alone
+    data = build_modular_data(N, K, theory)
+    ctx, S, omega = data.ctx, data.s_matrix, data.omega
+    conj = [[x.conjugate() for x in row] for row in S]
+    inv = data._omega_inv
+    rng = random.Random(N * 100 + K)
+    n = len(S)
+    for i in range(n):
+        for j in range(i, n):
+            delta = ctx.one() if i == j else ctx.zeta(rng.randrange(ctx.M))
+            moved = [list(row) for row in conj]
+            moved[j] = [y + x * delta * inv for x, y in zip(conj[i], moved[j])]
+            if i != j:
+                moved[i] = [y + x * delta.conjugate() * inv
+                            for x, y in zip(conj[j], moved[i])]
+            product = list(_packed_dot(_PackedRows(ctx, S),
+                                       _PackedRows(ctx, moved)))
+            assert product[i][j] == (omega if i == j else 0) + delta
+            assert _is_modular(_PackedRows(ctx, S), _PackedRows(ctx, moved),
+                               omega) is False, (i, j)
 
 
 def _normalizer(ctx):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from heckemod.diagrams import ReducedLabel, YoungDiagram
 from heckemod.moddata import build_modular_data
 from heckemod.refine import characteristic_solutions
-from heckemod.scalars import ScalarError
+from heckemod.scalars import CycScalar, ScalarError
 from heckemod.surgery import (
     PlumbingGraph,
     PlumbingVertex,
@@ -631,6 +631,34 @@ def test_s_term_table_dies_with_its_data():
     del data
     gc.collect()
     assert ref() is None
+
+
+def test_normalization_factors_live_on_their_data(monkeypatch):
+    # Delta_+^-sigma Omega^-half is kept on the data by (sigma, half): a warm
+    # tau raises nothing to a power, and the value is the bracket times the
+    # two powers taken apart
+    data = build_modular_data(3, 3, "su")
+    rng = random.Random(41)
+    graphs = [chain([-2, 3, 1, 5]), chain([1, 1, 1]), single_vertex(-4)]
+    graphs += [random_forest(rng) for _ in range(6)]
+    cold = [tau(g, data) for g in graphs]
+    keys = set()
+    for res in cold:
+        m = res.report["surgery_vertices"]
+        sigma = res.signature
+        half, rem = divmod(m - sigma, 2)
+        if sigma or half:
+            keys.add((sigma, half))
+        want = res.report["bracket"] * data.delta_plus ** -sigma \
+            * data.omega ** -half
+        assert (res.value.base, res.value.eta_pow) == (want, rem)
+    assert set(data._normalizers) == keys and len(keys) > 1
+
+    def no_powers(self, n):
+        raise AssertionError("a power was taken on a warm call")
+
+    monkeypatch.setattr(CycScalar, "__pow__", no_powers)
+    assert [tau(g, data).value for g in graphs] == [r.value for r in cold]
 
 
 # ---------------------------------------------------------------------------
