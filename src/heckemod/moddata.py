@@ -69,33 +69,39 @@ def _permutation_getters(n: int) -> tuple:
     return tuple(even), tuple(odd)
 
 
-def _alternant_histogram(ctx: RingContext, exponents: list[int],
-                         powers: list[int], shift: int = 0) -> list[int]:
-    """zeta^shift det(zeta^(exponents[i] * powers[j])) as a histogram: entry
-    k is the signed number of permutation terms equal to zeta^k, k < M."""
+def _alternant_terms(ctx: RingContext, exponents: list[int],
+                     powers: list[int], shift: int = 0) -> dict:
+    """zeta^shift det(zeta^(exponents[i] * powers[j])) as {k: the signed
+    number of permutation terms equal to zeta^k}, over the k < M that some
+    term hits (a count may cancel to 0)."""
     M = ctx.M
     table = [e * p % M for e in exponents for p in powers]
     # every permutation term takes exactly one cell of the first row
     for j in range(len(powers)):
         table[j] += shift
-    hist = [0] * M
+    terms = {}
     even, odd = _permutation_getters(len(powers))
     for get in even:
-        hist[sum(get(table)) % M] += 1
+        k = sum(get(table)) % M
+        terms[k] = terms.get(k, 0) + 1
     for get in odd:
-        hist[sum(get(table)) % M] -= 1
-    return hist
+        k = sum(get(table)) % M
+        terms[k] = terms.get(k, 0) - 1
+    return terms
 
 
 def _alternant(ctx: RingContext, exponents: list[int],
                powers: list[int]) -> CycScalar:
     """det(zeta^(exponents[i] * powers[j])), summed over permutations.
 
-    Every permutation adds its sign to a histogram of the exponent mod M; the
-    histogram maps once to the power basis as one power sum.
+    Every permutation adds its sign to the count of its exponent mod M
+    (:func:`_alternant_terms`); the counts, as a histogram over all k < M,
+    map once to the power basis as one power sum.
     """
-    return CycScalar(ctx, ctx.power_sum(
-        _alternant_histogram(ctx, exponents, powers)))
+    hist = [0] * ctx.M
+    for k, count in _alternant_terms(ctx, exponents, powers).items():
+        hist[k] = count
+    return CycScalar(ctx, ctx.power_sum(hist))
 
 
 def s_matrix_column(ctx: RingContext, mu) -> tuple:
@@ -148,8 +154,9 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
     dimension formula gives <mu> s^((N-1)|mu|) / A(empty, mu) = c for every
     mu), and e = 2a|lam||mu| - (N-1)s(|lam| + |mu|), plus the column-object
     crossing term for reduced labels, as an exponent of zeta.  e shifts the
-    index of the alternant's histogram h, so the entry is the combination
-    sum_k h_k c zeta^k of one packed table.
+    index of the alternant's exponent counts h (:func:`_alternant_terms`),
+    so the entry is the combination sum_k h_k c zeta^k of one packed table,
+    over the at most min(N, K)! exponents k that a term hits.
 
     When K < N the N x N alternant becomes a K x K one.  A(lam, mu) is the
     minor on the rows {l_i} and the columns {m_j} of the Fourier matrix
@@ -197,8 +204,8 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
         for j, size_m, _, exps in parts:
             e = (a2 * size_l * size_m - s1 * (size_l + size_m)
                  + cross * (i * j * N + i * size_m + j * size_l)) % M
-            hist = _alternant_histogram(ctx, exps, top, e)
-            row.append(_packed_combination(powers, hist, width))
+            row.append(_packed_combination(
+                powers, _alternant_terms(ctx, exps, top, e), width))
         s_matrix.append(row)
     return s_matrix
 
@@ -269,7 +276,8 @@ class ModularData:
     # leaf elimination the label indices of each degree residue mod d
     # (None: all labels), the surgery vertex weights by (labels, e,
     # f mod M), the messages of leaves by (that key, the parent's labels)
-    # and the sparse term table of S; for the normalization of tau
+    # and the sparse term table of S with its packed maps
+    # (surgery._TermTable); for the normalization of tau
     # Delta_+^-sigma Omega^-half by (sigma, half); all live as long as this
     # data
     _s_conj_packed: _PackedRows = field(
@@ -281,7 +289,7 @@ class ModularData:
         default_factory=dict, init=False, repr=False, compare=False)
     _leaf_messages: dict = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _s_terms: tuple | None = field(
+    _s_terms: object | None = field(
         default=None, init=False, repr=False, compare=False)
     _normalizers: dict = field(
         default_factory=dict, init=False, repr=False, compare=False)

@@ -252,7 +252,7 @@ def _abelian_gauss_sum(g: PlumbingGraph, su_data: ModularData,
               tuple(u * v.framing * j * j % M for j in labels))
              for v in g.vertices}
     table = [[ctx.zeta(2 * u * i * j) for j in labels] for i in labels]
-    return _eliminate(g, specs, _sparse_columns(table, ctx.degree), ctx, {})
+    return _eliminate(g, specs, _sparse_columns(table, ctx), ctx, {})
 
 
 def u1_invariant(g: PlumbingGraph, su_data: ModularData,

@@ -580,16 +580,19 @@ def _packed_dot(xs: _PackedRows, ys: _PackedRows):
                             dx * dy) for yrow, dy in zip(py, ys.dens)]
 
 
-def _packed_combination(xs: _PackedRows, weights, width: int) -> CycScalar:
-    """sum_k weights[k] * x_k over the first row x of ``xs``, exactly.
+def _packed_combination(xs: _PackedRows, weights: dict,
+                        width: int) -> CycScalar:
+    """sum_k w * x_k over the items (k, w) of ``weights``, x the first row
+    of ``xs``, exactly.
 
     Each field of the summed packed integer is at most
-    sum |weights| * xs.bound in absolute value, so the result is exact when
+    sum |w| * xs.bound in absolute value, so the result is exact when
     ``width`` is at least the bit length of that bound plus one; the sum of
     reduced vectors is reduced, so it is unpacked once over the row's
     denominator.
     """
-    v = sum(w * x for w, x in zip(weights, xs.at(width)[0]) if w)
+    row = xs.at(width)[0]
+    v = sum(w * row[k] for k, w in weights.items() if w)
     return _from_packed(xs.ring, v, xs.ring.degree, width, xs.dens[0])
 
 

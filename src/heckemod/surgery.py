@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
+from operator import mul
 
 from .diagrams import ReducedLabel, YoungDiagram, twist_exponent
 from .moddata import ModularData
 from .scalars import (CycScalar, ExtScalar, ScalarError, _canonical,
-                      _common_den, _nonzero_terms, _pack, _schoolbook,
-                      _unpack)
+                      _common_den, _field_bias, _nonzero_terms, _pack,
+                      _schoolbook, _unpack)
 
 __all__ = [
     "PlumbingGraph",
@@ -362,7 +365,7 @@ def colored_bracket(g: PlumbingGraph, data: ModularData,
     """<L(Omega, ..., Omega)> by leaf elimination over the forest."""
     specs = _vertex_specs(g, data, degree_filter)
     if data._s_terms is None:
-        data._s_terms = _sparse_columns(data.s_matrix, data.ctx.degree)
+        data._s_terms = _sparse_columns(data.s_matrix, data.ctx)
     return _eliminate(g, specs, data._s_terms, data.ctx, data._leaf_messages)
 
 
@@ -372,7 +375,7 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
     c of its spec (key, labels, factors, rotations), of the product of the
     vertex weights factors[c] * zeta^rotations[c] (factor 1 where factors
     is None) and of matrix[i][j] over every edge with end labels i and j,
-    where ``matrix_terms`` is ``_sparse_columns(matrix, ctx.degree)``.
+    where ``matrix_terms`` is ``_sparse_columns(matrix, ctx)``.
     Equal keys must mean equal specs.
 
     The preorder is read backwards, so each vertex folds into its parent
@@ -383,15 +386,15 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
     taken as they are, later ones multiply in by ``_schoolbook``), times
     its factors; ``_vertex_vectors`` turns them into content-free
     numerators and applies the rotations.  The message to the parent label
-    j, sum_i value_i * matrix[i][j], is then one packed integer sum,
-    unpacked to its numerators over the vertex's denominator times the
-    matrix denominator D (``_messages``).  The sums at the tree roots
+    j, sum_i value_i * matrix[i][j], is then one packed integer sum, read
+    as its numerators over the vertex's denominator times the matrix
+    denominator D (``_messages``).  The sums at the tree roots
     multiply, and the scale is applied once to the result.
 
     The messages of a leaf depend only on its spec and its parent's labels,
     so they are kept in ``leaf_messages`` under (key, parent labels).
     """
-    matrix_den = matrix_terms[1]
+    matrix_den = matrix_terms.den
     total = ctx.one().nums  # the product of the tree sums so far
     scale_num = scale_den = 1
     below = {}  # vertex -> products of its eliminated children's messages
@@ -460,25 +463,91 @@ def _vertex_vectors(ctx, spec, values):
     return content, den, vecs
 
 
+# signed array typecodes by word width in bits; array reads native byte order
+_WORDS = {array(code).itemsize * 8: code for code in "qlihb"}
+# the word widths of a packed map, and the most bits of one of its columns
+_MAP_WIDTHS = tuple(w for w in (8, 16, 32, 64) if w in _WORDS)
+_MAP_COLUMN_BITS = 4096
+
+
+class _TermTable:
+    """The sparse terms of a matrix over one denominator, for ``_messages``
+    (built by :func:`_sparse_columns`).
+
+    ``columns[j]`` lists the (s, places) of column j: ``places`` are the
+    positions i * deg + t of the terms s x^t of the numerators D *
+    matrix[i][j], D = ``den``.  ``term_bound`` bounds sum_t |s_t| over an
+    entry (its most terms times the largest |s|), and ``spread`` is the
+    ring constant F = max_u sum_(m < 2 deg - 1) |[zeta^m]_u|, so reducing
+    an entry times zeta^k for every k < deg adds at most F * term_bound
+    to one power-basis coefficient.  ``maps`` keeps the packed maps
+    (:func:`_packed_map`) by (targets, width), and ``served`` counts the
+    steps each such key has taken on the sparse terms before its map.
+    """
+
+    __slots__ = ("columns", "den", "rows", "term_bound", "spread",
+                 "served", "maps", "__weakref__")
+
+    def __init__(self, columns, den, rows, term_bound, spread):
+        self.columns = columns
+        self.den = den
+        self.rows = rows
+        self.term_bound = term_bound
+        self.spread = spread
+        self.served = {}
+        self.maps = {}
+
+
 def _messages(ctx, vecs, labels, targets, matrix_terms) -> list:
     """The message sum_i vecs_i * D * matrix[i][j] to each target label j,
     over the content-free vectors ``vecs`` of the vertex's ``labels``, as
-    its integer numerators reduced modulo Phi_M (``scalars._unpack``), with
-    D the matrix denominator of ``_sparse_columns``.
+    its integer numerators reduced modulo Phi_M, with D the matrix
+    denominator of ``_sparse_columns``.
+
+    A step goes through the packed map of its targets (``_map_messages``)
+    when the smallest word width w with F * bound < 2^(w-1) is at most 64
+    bits, where bound = (labels) * term_bound * max|vecs|, when a column
+    of the map takes at most ``_MAP_COLUMN_BITS`` bits, and when that
+    (targets, w) has already served deg steps on the sparse terms: a map
+    costs about as much to build as that many steps, so data that sees
+    few steps never builds one.  Every other step is summed over the
+    sparse terms (``_sparse_messages``)."""
+    deg = ctx.degree
+    largest = max(max(map(max, vecs)), -min(map(min, vecs)))
+    bound = len(vecs) * matrix_terms.term_bound * largest
+    need = (matrix_terms.spread * bound).bit_length() + 1
+    width = next((w for w in _MAP_WIDTHS if w >= need), None)
+    if width is not None and len(targets) * deg * width <= _MAP_COLUMN_BITS:
+        key = targets, width
+        packed = matrix_terms.maps.get(key)
+        if packed is None:
+            served = matrix_terms.served.get(key, 0)
+            if served < deg:
+                matrix_terms.served[key] = served + 1
+            else:
+                packed = matrix_terms.maps[key] = _packed_map(
+                    ctx, matrix_terms, targets, width)
+        if packed is not None:
+            return _map_messages(packed, vecs, labels, deg, matrix_terms.rows)
+    return _sparse_messages(ctx, vecs, labels, targets, matrix_terms, bound)
+
+
+def _sparse_messages(ctx, vecs, labels, targets, matrix_terms,
+                     bound: int) -> list:
+    """``_messages`` summed over the sparse terms, for ``bound`` at least
+    (labels) * term_bound * max|vecs|.
 
     Each nonzero term s x^t of D * matrix[i][j] adds s times vecs_i packed
     and shifted by t fields.  A coefficient of the message before reduction
-    is at most (labels) * (most terms of an entry) * max|s| * max|vecs| in
-    absolute value, so the field width is that bound's bit length plus a
-    sign bit."""
+    is at most ``bound`` in absolute value, so the field width is its bit
+    length plus a sign bit; each message is unpacked and reduced modulo
+    Phi_M (``scalars._unpack``)."""
     deg = ctx.degree
-    columns, _, rows, term_bound = matrix_terms
-    largest = max(max(map(max, vecs)), -min(map(min, vecs)))
-    width = (len(vecs) * term_bound * largest).bit_length() + 1
+    width = bound.bit_length() + 1
     shifts = range(0, deg * width, width)
     # shifted[i * deg + t] = packed vecs_i << t * width; rows without a
     # label stay 0
-    shifted = [0] * (rows * deg)
+    shifted = [0] * (matrix_terms.rows * deg)
     for i, v in zip(labels, vecs):
         p = _pack(v, width)
         shifted[i * deg:(i + 1) * deg] = [p << t for t in shifts]
@@ -486,22 +555,68 @@ def _messages(ctx, vecs, labels, targets, matrix_terms) -> list:
     messages = []
     for j in targets:
         acc = 0
-        for s, places in columns[j]:
+        for s, places in matrix_terms.columns[j]:
             acc += s * sum(map(get, places))
         messages.append(_unpack(ctx, acc, 2 * deg - 1, width))
     return messages
 
 
-def _sparse_columns(matrix, deg: int):
-    """The nonzero terms s x^t of ``matrix`` column by column, over one
-    denominator.
+def _packed_map(ctx, matrix_terms, targets, width: int) -> tuple:
+    """The matrix restricted to the columns ``targets`` as one packed
+    integer per source coordinate (i, k), i < rows and k < deg: the
+    power-basis numerators of zeta^k * D * matrix[i][j] reduced modulo
+    Phi_M, in signed fields of ``width`` bits, field u of target number
+    n at bit (n * deg + u) * width.
 
-    Returns (columns, D, rows, term_bound).  D is the lcm of the
-    denominators of all entries, and column j is a list of (s, places),
-    ``places`` the positions i * deg + t of the terms of coefficient s
-    among the numerators D * matrix[i][j].  term_bound is the most terms of
-    an entry times the largest |s|.
-    """
+    Returns (columns, bias, size, typecode) for ``_map_messages``: the
+    field bias of every field, the byte size of a sum of columns and the
+    array typecode of one field.  The coefficients of x^t in the entries
+    (i, j) of every target j pack into one multiplier c_it, one block of
+    deg fields per target, so that zeta^k x^t = zeta^(k + t) makes column
+    (i, k) the sum over t of c_it times [zeta^(k + t)], the reduced power
+    packed into one block."""
+    deg = ctx.degree
+    block = deg * width
+    # coeffs[i * deg + t]: the coefficient s of x^t of every target's
+    # entry, in its target's block of fields
+    coeffs = [0] * (matrix_terms.rows * deg)
+    for shift, j in zip(range(0, len(targets) * block, block), targets):
+        for s, places in matrix_terms.columns[j]:
+            s <<= shift
+            for p in places:
+                coeffs[p] += s
+    powers = [_pack(ctx.power_sum((1,), 1, m), width)
+              for m in range(2 * deg - 1)]
+    columns = [sum(map(mul, coeffs[base:base + deg], powers[k:k + deg]))
+               for base in range(0, len(coeffs), deg) for k in range(deg)]
+    count = len(targets) * deg
+    return (columns, _field_bias(count, width), count * width // 8,
+            _WORDS[width])
+
+
+def _map_messages(packed, vecs, labels, deg: int, rows: int) -> list:
+    """``_messages`` through a packed map (``_packed_map``), exact when no
+    field of the sum leaves its signed width.
+
+    The vectors are laid out over every source coordinate, zero for rows
+    without a label, and the sum of the columns times them carries every
+    message, already reduced.  The bias makes each field a nonnegative
+    digit, and flipping its top bit back reads it as a signed word, so one
+    conversion to bytes and one array read give every numerator."""
+    columns, bias, size, typecode = packed
+    flat = [0] * (rows * deg)
+    for i, v in zip(labels, vecs):
+        flat[i * deg:(i + 1) * deg] = v
+    words = array(typecode, (sum(map(mul, flat, columns), bias) ^ bias)
+                  .to_bytes(size, sys.byteorder))
+    return list(zip(*[iter(words)] * deg))
+
+
+def _sparse_columns(matrix, ctx) -> _TermTable:
+    """The nonzero terms s x^t of ``matrix`` column by column, over one
+    denominator D, the lcm of the denominators of all entries, as a
+    :class:`_TermTable` with no packed maps yet."""
+    deg = ctx.degree
     rows = len(matrix)
     vecs, den = _common_den([x for column in zip(*matrix) for x in column])
     most_terms = max_coeff = 0
@@ -518,7 +633,12 @@ def _sparse_columns(matrix, deg: int):
             most_terms = max(most_terms, terms)
         max_coeff = max(max_coeff, *map(abs, by_coeff), 0)
         columns.append(list(by_coeff.items()))
-    return columns, den, rows, most_terms * max_coeff
+    spread = [0] * deg
+    for m in range(2 * deg - 1):
+        for u, c in enumerate(ctx.power_sum((1,), 1, m)):
+            spread[u] += abs(c)
+    return _TermTable(columns, den, rows, most_terms * max_coeff,
+                      max(spread))
 
 
 def colored_bracket_direct(g: PlumbingGraph, data: ModularData,

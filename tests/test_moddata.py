@@ -22,7 +22,7 @@ from heckemod.moddata import (
     THEORIES,
     ModularData,
     _alternant,
-    _alternant_histogram,
+    _alternant_terms,
     _is_modular,
     _signed_permutations,
     build_modular_data,
@@ -313,10 +313,14 @@ def test_alternant_histogram_matches_permutation_sum(ctx):
             got = _alternant(ctx, exponents, powers)
             want = _alternant_by_permutations(ctx, exponents, powers)
             assert (got.nums, got.den) == (want.nums, want.den), size
-            # the shift that the S build folds in
+            # the shift that the S build folds in, over the exponents hit
             shift = rng.randrange(ctx.M)
-            hist = _alternant_histogram(ctx, exponents, powers, shift)
-            got = CycScalar(ctx, ctx.power_sum(hist))
+            terms = _alternant_terms(ctx, exponents, powers, shift)
+            assert all(0 <= k < ctx.M for k in terms)
+            assert sum(map(abs, terms.values())) <= math.factorial(size)
+            got = ctx.zero()
+            for k, count in terms.items():
+                got = got + count * ctx.zeta(k)
             want = ctx.zeta(shift) * want
             assert (got.nums, got.den) == (want.nums, want.den), size
 
@@ -473,23 +477,24 @@ def test_packed_combination_at_its_width_bound(ctx):
         scaled = [c * ctx.zeta(k) for k in range(M)]
         powers = _PackedRows(ctx, [scaled])
         width = (terms * powers.bound).bit_length() + 1
-        # any weights with sum |w| <= terms
-        weights, budget = [], terms
-        for w in raw:
+        # any weights with sum |w| <= terms, on the powers they name; a
+        # weight of 0 stays in, as a count that cancelled
+        weights, budget = {}, terms
+        for k, w in enumerate(raw):
             w = max(-budget, min(budget, w))
             budget -= abs(w)
-            weights.append(w)
+            if w or k % 7 == 0:
+                weights[k] = w
         want = ctx.zero()
-        for w, x in zip(weights, scaled):
-            want = want + w * x
+        for k, w in weights.items():
+            want = want + w * scaled[k]
         got = _packed_combination(powers, weights, width)
         assert (got.nums, got.den) == (want.nums, want.den)
         # every weight on one power whose numerator reaches the bound: that
         # field of the sum is exactly terms * bound
         k, i = next((k, i) for k, vec in enumerate(powers.nums[0])
                     for i, x in enumerate(vec) if abs(x) == powers.bound)
-        weights = [0] * M
-        weights[k] = terms if powers.nums[0][k][i] > 0 else -terms
+        weights = {k: terms if powers.nums[0][k][i] > 0 else -terms}
         want = weights[k] * scaled[k]
         got = _packed_combination(powers, weights, width)
         assert (got.nums, got.den) == (want.nums, want.den)

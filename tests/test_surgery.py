@@ -15,11 +15,16 @@ from heckemod.moddata import build_modular_data
 from heckemod.refine import characteristic_solutions
 from heckemod.scalars import CycScalar, ScalarError
 from heckemod.surgery import (
+    _MAP_WIDTHS,
     PlumbingGraph,
     PlumbingVertex,
     _eliminate,
+    _map_messages,
+    _messages,
+    _packed_map,
     _signature,
     _sparse_columns,
+    _sparse_messages,
     _spec_weights,
     _vertex_specs,
     chain,
@@ -354,11 +359,22 @@ def eliminate_plain(g, weights, matrix, ctx):
     return total
 
 
-def both_eliminations(g, specs, matrix, ctx):
+def s_terms(data):
+    """The term table of S kept on ``data``, built as colored_bracket
+    builds it, so every caller shares its packed maps."""
+    if data._s_terms is None:
+        data._s_terms = _sparse_columns(data.s_matrix, data.ctx)
+    return data._s_terms
+
+
+def both_eliminations(g, specs, matrix, ctx, terms=None):
     """(packed, plain) values of the same vertex specs.  The packed one runs
     with a cold and then with a warm table of leaf messages, which must
-    agree."""
-    terms = _sparse_columns(matrix, ctx.degree)
+    agree.  ``terms`` is the term table of ``matrix`` (``s_terms`` of the
+    data whose S it is, so its packed maps are warm across examples), or
+    None for a fresh one."""
+    if terms is None:
+        terms = _sparse_columns(matrix, ctx)
     leaf_messages = {}
     packed = _eliminate(g, specs, terms, ctx, leaf_messages)
     assert _eliminate(g, specs, terms, ctx, leaf_messages) == packed
@@ -415,7 +431,8 @@ def test_packed_bracket_matches_plain_messages(NK, theory, colors):
         filt = {v.id: r for v, r in zip(g.surgery_vertices, residues)} \
             if filtered and theory == "reduced" else None
         packed, plain = both_eliminations(
-            g, _vertex_specs(g, data, filt), data.s_matrix, data.ctx)
+            g, _vertex_specs(g, data, filt), data.s_matrix, data.ctx,
+            s_terms(data))
         assert packed == plain
         assert packed == colored_bracket(g, data, filt)
 
@@ -475,7 +492,8 @@ def test_bracket_on_link_degrees_and_branch_points(shape, NK, theory):
     expected = colored_bracket_direct(g, data)
     for h in (g, shifted):
         packed, plain = both_eliminations(
-            h, _vertex_specs(h, data, None), data.s_matrix, data.ctx)
+            h, _vertex_specs(h, data, None), data.s_matrix, data.ctx,
+            s_terms(data))
         assert packed == plain == expected
         assert colored_bracket(h, data) == expected
 
@@ -562,44 +580,66 @@ def seeded_chain(length, seed):
     return chain([rng.randint(-3, 3) for _ in range(length)])
 
 
-@pytest.mark.parametrize("NK,theory", [
-    ((3, 3), "su"), ((2, 6), "reduced"),
-    # rank-levels where the packing width grows along a chain
-    ((2, 6), "su"), ((2, 3), "su"), ((2, 3), "reduced")])
-@pytest.mark.parametrize("length", [300, 1000])
+LONG_CHAINS = [((3, 3), "su"), ((2, 6), "reduced"),
+               # rank-levels where the packing width grows along a chain
+               ((2, 6), "su"), ((2, 3), "su"), ((2, 3), "reduced")]
+
+
+@pytest.mark.parametrize("NK,theory,length", [
+    pytest.param(NK, theory, length, id=f"{length}-NK{k}-{theory}")
+    for length in (300, 1000) for k, (NK, theory) in enumerate(LONG_CHAINS)]
+    # 20 labels at field degree 24: only 8-bit fields fit the column budget
+    # of a packed map over every label
+    + [pytest.param((4, 3), "su", 120, id="120-NK5-su")])
 def test_long_chain_matches_plain_messages(NK, theory, length):
     data = modular(*NK, theory)
     g = seeded_chain(length, 2026)
     packed, plain = both_eliminations(g, _vertex_specs(g, data, None),
-                                      data.s_matrix, data.ctx)
+                                      data.s_matrix, data.ctx, s_terms(data))
     assert packed == plain == colored_bracket(g, data)
     assert not packed.is_zero()
 
 
+def assert_maps_held_by_their_table(table):
+    """Each packed map is held by the table's dict of maps alone, and that
+    dict by the table alone, so the maps go with the table."""
+    assert table.maps
+    assert gc.get_referrers(table.maps) == [table]
+    for packed in table.maps.values():
+        assert gc.get_referrers(packed) == [table.maps]
+
+
 def test_weight_table_dies_with_its_data():
+    # the long chain makes the term table build a packed map, which goes
+    # with the data like the weights
     data = build_modular_data(2, 3, "su")
     tau(chain([-2, 3, 1]), data)
+    tau(seeded_chain(120, 7), data)
     assert data._weight_table
     assert all(f.ring is data.ctx for spec in data._weight_table.values()
                for f in spec[2] or ())
-    ref = weakref.ref(data.ctx)
+    assert_maps_held_by_their_table(data._s_terms)
+    ref, table = weakref.ref(data.ctx), weakref.ref(data._s_terms)
     del data
     gc.collect()
-    assert ref() is None
+    assert ref() is None and table() is None
 
 
 def test_leaf_messages_live_on_their_data():
-    # the leaf messages are filled on the data and nowhere else: the module
-    # namespace is unchanged, a warm table gives the bracket of a cold one,
-    # the messages are integer numerator tuples that hold no ring, and the
-    # ring goes with the data
+    # the leaf messages and the packed maps (the long chain builds some)
+    # are filled on the data and nowhere else: the module namespace is
+    # unchanged, a warm table gives the bracket of a cold one, the messages
+    # are integer numerator tuples that hold no ring, and the ring and the
+    # maps go with the data
     from heckemod import surgery
     names = {name: id(x) for name, x in vars(surgery).items()}
     data = build_modular_data(2, 3, "su")
     g = disjoint_union(chain([-2, 3, 1, 5]), star(2, [
         ("x", -1, None), ("y", -1 + data.ctx.M, None), ("z", 2, LINK)]))
+    g = disjoint_union(g, seeded_chain(120, 11))
     cold = colored_bracket(g, data)
     assert data._leaf_messages
+    assert_maps_held_by_their_table(data._s_terms)
     deg = data.ctx.degree
     assert all(type(x) is tuple and len(x) == deg
                and all(type(c) is int for c in x)
@@ -608,10 +648,10 @@ def test_leaf_messages_live_on_their_data():
     assert colored_bracket(g, data) == cold
     assert colored_bracket(g, build_modular_data(2, 3, "su")) == cold
     assert {name: id(x) for name, x in vars(surgery).items()} == names
-    ref = weakref.ref(data.ctx)
+    ref, table = weakref.ref(data.ctx), weakref.ref(data._s_terms)
     del data, cold
     gc.collect()
-    assert ref() is None
+    assert ref() is None and table() is None
 
 
 def test_s_term_table_dies_with_its_data():
@@ -631,6 +671,91 @@ def test_s_term_table_dies_with_its_data():
     del data
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# the packed map of a message step against its sparse terms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("NK,theory", [
+    ((3, 3), "su"), ((4, 2), "su"), ((2, 6), "reduced"), ((3, 3), "reduced")])
+def test_packed_map_matches_sparse_messages(NK, theory):
+    # the same content-free vectors through both kernels, on residue-
+    # filtered label and target sets, with operands at the edge of each
+    # word width (the largest max|x| its exactness bound admits) and past
+    # 64 bits, where no map may serve
+    data = modular(*NK, theory)
+    ctx, deg = data.ctx, data.ctx.degree
+    terms = _sparse_columns(data.s_matrix, ctx)
+    residues = [None, *range(data.grading_modulus)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(residues), st.sampled_from(residues),
+           st.sampled_from(_MAP_WIDTHS + (None,)), st.data())
+    def check(source, target, width, draw):
+        labels = data._labels_by_residue[source]
+        targets = data._labels_by_residue[target]
+        scale = terms.spread * terms.term_bound * len(labels)
+        edge = ((1 << (width - 1)) - 1) // scale if width \
+            else (1 << 64) // scale + 1
+        value = st.one_of(st.sampled_from([edge, -edge]),
+                          st.integers(-edge, edge))
+        vecs = draw.draw(st.lists(st.lists(value, min_size=deg,
+                                           max_size=deg),
+                                  min_size=len(labels),
+                                  max_size=len(labels)))
+        vecs[0][0] = edge  # max|x| is the edge itself
+        bound = len(labels) * terms.term_bound * edge
+        want = _sparse_messages(ctx, vecs, labels, targets, terms, bound)
+        assert all(type(x) is tuple and len(x) == deg for x in want)
+        if width:
+            got = _map_messages(_packed_map(ctx, terms, targets, width),
+                                vecs, labels, deg, terms.rows)
+            assert got == want
+        # the selection serves the same tuples, whichever kernel it picks;
+        # past 64 bits it neither counts the step nor builds a map
+        before = dict(terms.served), dict(terms.maps)
+        assert _messages(ctx, vecs, labels, targets, terms) == want
+        if not width:
+            assert (terms.served, terms.maps) == before
+
+    check()
+
+
+def test_map_is_built_after_deg_sparse_steps():
+    data = build_modular_data(3, 3, "su")
+    ctx, deg = data.ctx, data.ctx.degree
+    terms = s_terms(data)
+    labels = targets = data._labels_by_residue[None]
+    vecs = [ctx.one().nums] * len(labels)
+    want = _messages(ctx, vecs, labels, targets, terms)
+    (key,) = terms.served
+    assert key[0] == targets and not terms.maps
+    for _ in range(deg - 1):
+        assert _messages(ctx, vecs, labels, targets, terms) == want
+    assert terms.served[key] == deg and not terms.maps
+    assert _messages(ctx, vecs, labels, targets, terms) == want
+    assert list(terms.maps) == [key]
+
+
+def test_long_chain_builds_a_packed_map():
+    data = build_modular_data(3, 3, "su")
+    colored_bracket(seeded_chain(120, 5), data)
+    assert data._s_terms.maps
+
+
+def test_small_tree_on_fresh_data_builds_no_map():
+    data = build_modular_data(3, 3, "su")
+    colored_bracket(star(1, [("x", -2, None), ("y", 3, None)]), data)
+    assert not data._s_terms.maps
+
+
+def test_map_past_the_column_budget_is_never_built():
+    # 35 labels at field degree 32: even 8-bit columns over every label
+    # take 8960 bits
+    data = build_modular_data(4, 4, "su")
+    colored_bracket(seeded_chain(120, 5), data)
+    assert not data._s_terms.maps and not data._s_terms.served
 
 
 def test_normalization_factors_live_on_their_data(monkeypatch):
