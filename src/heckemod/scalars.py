@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul, sub
 from typing import Iterable
 
@@ -138,6 +138,26 @@ class RingContext:
                     out[t] += x * c
             k = (k + step) % M
         return tuple(out)
+
+    @cached_property
+    def rotation_spread(self) -> int:
+        """G = max over u and a of sum_(m = a .. a + deg - 1) of
+        |[zeta^(m mod M)]_u|, the power-basis coefficients of zeta^m: a
+        vector x rotated by zeta^r has coefficients at most G * max|x|, for
+        every r.  Computed on first use, once per ring."""
+        M, deg = self.M, self.degree
+        # row u: |[zeta^m]_u| for m < M, then again for m < deg - 1
+        rows = list(zip(*(map(abs, self.power_sum((1,), 1, m))
+                          for m in range(M))))
+        best = 0
+        for row in rows:
+            row += row[:deg - 1]
+            window = sum(row[:deg])
+            best = max(best, window)
+            for a in range(1, M):
+                window += row[a + deg - 1] - row[a - 1]
+                best = max(best, window)
+        return best
 
     # -- construction -----------------------------------------------------
 

@@ -385,11 +385,12 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
     are the products of its children's messages (the first child's are
     taken as they are, later ones multiply in by ``_schoolbook``), times
     its factors; ``_vertex_vectors`` turns them into content-free
-    numerators and applies the rotations.  The message to the parent label
-    j, sum_i value_i * matrix[i][j], is then one packed integer sum, read
+    numerators.  The message to the parent label j, sum_i value_i *
+    zeta^rotation_i * matrix[i][j], is then one packed integer sum, read
     as its numerators over the vertex's denominator times the matrix
-    denominator D (``_messages``).  The sums at the tree roots
-    multiply, and the scale is applied once to the result.
+    denominator D (``_messages``, which applies the rotations).  The
+    rotated sums at the tree roots multiply, and the scale is applied once
+    to the result.
 
     The messages of a leaf depend only on its spec and its parent's labels,
     so they are kept in ``leaf_messages`` under (key, parent labels).
@@ -403,6 +404,7 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
         values = below.pop(vid, None)
         if parent is None:
             content, den, vecs = _vertex_vectors(ctx, spec, values)
+            vecs = _rotated(ctx, vecs, spec[3])
         else:
             targets = specs[parent][1]
             key = (spec[0], targets)
@@ -410,7 +412,7 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
             if found is None:
                 content, den, vecs = _vertex_vectors(ctx, spec, values)
                 found = content, den * matrix_den, _messages(
-                    ctx, vecs, spec[1], targets, matrix_terms) \
+                    ctx, vecs, spec[1], spec[3], targets, matrix_terms) \
                     if content else None
                 if values is None:
                     leaf_messages[key] = found
@@ -433,15 +435,12 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
 def _vertex_vectors(ctx, spec, values):
     """(content, den, vecs): the values of a vertex, ``values`` (integer
     numerator vectors, its children's product, None at a leaf) times its
-    factors times zeta^rotation, as content * vecs / den with vecs
-    content-free integer numerator vectors.  The factors are put over their
-    common denominator den and multiply in only where the spec has them
-    (den is 1 otherwise).  content is 0 when every value is zero.
-
-    zeta is a unit of Z[zeta], so multiplying by zeta^r keeps the content
-    and the denominator: the rotation moves each content-free numerator
-    x_i zeta^i to x_i zeta^(i + r), one power sum of integers."""
-    _, labels, factors, rotations = spec
+    factors, as content * vecs / den with vecs content-free integer
+    numerator vectors.  The factors are put over their common denominator
+    den and multiply in only where the spec has them (den is 1 otherwise).
+    content is 0 when every value is zero.  The rotations are left to
+    ``_rotated`` or to a packed map."""
+    _, labels, factors, _ = spec
     den = 1
     if factors is not None:
         vecs, den = _common_den(factors)
@@ -449,25 +448,29 @@ def _vertex_vectors(ctx, spec, values):
             vecs = [_schoolbook(ctx, v, _nonzero_terms(f))
                     for v, f in zip(values, vecs)]
     else:
-        # a copy, as the children's messages may be kept as leaf messages
-        vecs = [ctx.one().nums] * len(labels) if values is None \
-            else list(values)
+        vecs = [ctx.one().nums] * len(labels) if values is None else values
     content = 0
     for v in vecs:
         content = math.gcd(content, *v)
     if content > 1:
         vecs = [[x // content for x in v] for v in vecs]
-    for n, r in enumerate(rotations):
-        if r:
-            vecs[n] = ctx.power_sum(vecs[n], 1, r)
     return content, den, vecs
+
+
+def _rotated(ctx, vecs, rotations) -> list:
+    """vecs_n times zeta^rotations[n], as integer numerators.  zeta is a
+    unit of Z[zeta], so the rotation keeps the content and the
+    denominator: it moves each numerator x_i zeta^i to x_i zeta^(i + r),
+    one power sum of integers."""
+    return [ctx.power_sum(v, 1, r) if r else v
+            for v, r in zip(vecs, rotations)]
 
 
 # signed array typecodes by word width in bits; array reads native byte order
 _WORDS = {array(code).itemsize * 8: code for code in "qlihb"}
 # the word widths of a packed map, and the most bits of one of its columns
 _MAP_WIDTHS = tuple(w for w in (8, 16, 32, 64) if w in _WORDS)
-_MAP_COLUMN_BITS = 4096
+_MAP_COLUMN_BITS = 8192
 
 
 class _TermTable:
@@ -477,45 +480,48 @@ class _TermTable:
     ``columns[j]`` lists the (s, places) of column j: ``places`` are the
     positions i * deg + t of the terms s x^t of the numerators D *
     matrix[i][j], D = ``den``.  ``term_bound`` bounds sum_t |s_t| over an
-    entry (its most terms times the largest |s|), and ``spread`` is the
-    ring constant F = max_u sum_(m < 2 deg - 1) |[zeta^m]_u|, so reducing
-    an entry times zeta^k for every k < deg adds at most F * term_bound
-    to one power-basis coefficient.  ``maps`` keeps the packed maps
-    (:func:`_packed_map`) by (targets, width), and ``served`` counts the
-    steps each such key has taken on the sparse terms before its map.
+    entry (its most terms times the largest |s|).  ``maps`` keeps the
+    packed maps (:func:`_packed_map`) by (targets, width), and ``served``
+    counts the steps each such key has taken on the sparse terms before
+    its map.
     """
 
-    __slots__ = ("columns", "den", "rows", "term_bound", "spread",
-                 "served", "maps", "__weakref__")
+    __slots__ = ("columns", "den", "rows", "term_bound", "served", "maps",
+                 "__weakref__")
 
-    def __init__(self, columns, den, rows, term_bound, spread):
+    def __init__(self, columns, den, rows, term_bound):
         self.columns = columns
         self.den = den
         self.rows = rows
         self.term_bound = term_bound
-        self.spread = spread
         self.served = {}
         self.maps = {}
 
 
-def _messages(ctx, vecs, labels, targets, matrix_terms) -> list:
-    """The message sum_i vecs_i * D * matrix[i][j] to each target label j,
-    over the content-free vectors ``vecs`` of the vertex's ``labels``, as
-    its integer numerators reduced modulo Phi_M, with D the matrix
-    denominator of ``_sparse_columns``.
+def _messages(ctx, vecs, labels, rotations, targets, matrix_terms) -> list:
+    """The message sum_i vecs_i * zeta^rotations_i * D * matrix[i][j] to
+    each target label j, over the content-free vectors ``vecs`` of the
+    vertex's ``labels`` (each rotation in [0, M)), as its integer
+    numerators reduced modulo Phi_M, with D the matrix denominator of
+    ``_sparse_columns``.
 
-    A step goes through the packed map of its targets (``_map_messages``)
-    when the smallest word width w with F * bound < 2^(w-1) is at most 64
-    bits, where bound = (labels) * term_bound * max|vecs|, when a column
-    of the map takes at most ``_MAP_COLUMN_BITS`` bits, and when that
-    (targets, w) has already served deg steps on the sparse terms: a map
-    costs about as much to build as that many steps, so data that sees
-    few steps never builds one.  Every other step is summed over the
-    sparse terms (``_sparse_messages``)."""
+    A rotation by zeta^r multiplies max|x| by at most G, the ring's
+    ``rotation_spread``, so no coefficient of a message before reduction
+    exceeds bound = G * (labels) * term_bound * max|vecs|, whatever the
+    rotations.  A step goes through the packed map of its targets
+    (``_map_messages``, which reads each rotation as a column offset) when
+    the smallest word width w with bound < 2^(w-1) is at most 64 bits,
+    when a column of the map takes at most ``_MAP_COLUMN_BITS`` bits, and
+    when that (targets, w) has already served deg steps on the sparse
+    terms: a map costs about as much to build as that many steps, so data
+    that sees few steps never builds one.  Every other step rotates the
+    vectors (``_rotated``) and sums them over the sparse terms
+    (``_sparse_messages``)."""
     deg = ctx.degree
     largest = max(max(map(max, vecs)), -min(map(min, vecs)))
-    bound = len(vecs) * matrix_terms.term_bound * largest
-    need = (matrix_terms.spread * bound).bit_length() + 1
+    bound = ctx.rotation_spread * len(vecs) * matrix_terms.term_bound \
+        * largest
+    need = bound.bit_length() + 1
     width = next((w for w in _MAP_WIDTHS if w >= need), None)
     if width is not None and len(targets) * deg * width <= _MAP_COLUMN_BITS:
         key = targets, width
@@ -528,14 +534,16 @@ def _messages(ctx, vecs, labels, targets, matrix_terms) -> list:
                 packed = matrix_terms.maps[key] = _packed_map(
                     ctx, matrix_terms, targets, width)
         if packed is not None:
-            return _map_messages(packed, vecs, labels, deg, matrix_terms.rows)
-    return _sparse_messages(ctx, vecs, labels, targets, matrix_terms, bound)
+            return _map_messages(packed, vecs, labels, rotations, deg)
+    return _sparse_messages(ctx, _rotated(ctx, vecs, rotations), labels,
+                            targets, matrix_terms, bound)
 
 
 def _sparse_messages(ctx, vecs, labels, targets, matrix_terms,
                      bound: int) -> list:
-    """``_messages`` summed over the sparse terms, for ``bound`` at least
-    (labels) * term_bound * max|vecs|.
+    """The message sum_i vecs_i * D * matrix[i][j] to each target label j,
+    as in ``_messages`` with no rotation, summed over the sparse terms, for
+    ``bound`` at least (labels) * term_bound * max|vecs|.
 
     Each nonzero term s x^t of D * matrix[i][j] adds s times vecs_i packed
     and shifted by t fields.  A coefficient of the message before reduction
@@ -562,20 +570,22 @@ def _sparse_messages(ctx, vecs, labels, targets, matrix_terms,
 
 
 def _packed_map(ctx, matrix_terms, targets, width: int) -> tuple:
-    """The matrix restricted to the columns ``targets`` as one packed
-    integer per source coordinate (i, k), i < rows and k < deg: the
-    power-basis numerators of zeta^k * D * matrix[i][j] reduced modulo
-    Phi_M, in signed fields of ``width`` bits, field u of target number
-    n at bit (n * deg + u) * width.
+    """The matrix restricted to the columns ``targets`` as, for each row i,
+    one packed integer per power m < M of zeta: the power-basis numerators
+    of zeta^m * D * matrix[i][j] reduced modulo Phi_M, in signed fields of
+    ``width`` bits, field u of target number n at bit (n * deg + u) *
+    width.  Each row's list ends with its first deg - 1 integers again, so
+    that the slice [r, r + deg) holds the columns zeta^(k + r) for k < deg
+    for every rotation r < M.
 
-    Returns (columns, bias, size, typecode) for ``_map_messages``: the
-    field bias of every field, the byte size of a sum of columns and the
-    array typecode of one field.  The coefficients of x^t in the entries
-    (i, j) of every target j pack into one multiplier c_it, one block of
-    deg fields per target, so that zeta^k x^t = zeta^(k + t) makes column
-    (i, k) the sum over t of c_it times [zeta^(k + t)], the reduced power
-    packed into one block."""
-    deg = ctx.degree
+    Returns (rows, bias, size, typecode) for ``_map_messages``: the field
+    bias of every field, the byte size of a sum of columns and the array
+    typecode of one field.  The coefficients of x^t in the entries (i, j)
+    of every target j pack into one multiplier c_it, one block of deg
+    fields per target, so that zeta^k x^t = zeta^(k + t) makes column
+    (i, k), k < deg, the sum over t of c_it times [zeta^(k + t)], the
+    reduced power packed into one block."""
+    deg, M = ctx.degree, ctx.M
     block = deg * width
     # coeffs[i * deg + t]: the coefficient s of x^t of every target's
     # entry, in its target's block of fields
@@ -587,28 +597,37 @@ def _packed_map(ctx, matrix_terms, targets, width: int) -> tuple:
                 coeffs[p] += s
     powers = [_pack(ctx.power_sum((1,), 1, m), width)
               for m in range(2 * deg - 1)]
-    columns = [sum(map(mul, coeffs[base:base + deg], powers[k:k + deg]))
-               for base in range(0, len(coeffs), deg) for k in range(deg)]
+    # zeta^m = sum_u [zeta^m]_u zeta^u makes column (i, m) for m >= deg
+    # the same combination of the columns (i, u), u < deg
+    higher = [[(u, c) for u, c in enumerate(ctx.power_sum((1,), 1, m)) if c]
+              for m in range(deg, M)]
+    rows = []
+    for base in range(0, len(coeffs), deg):
+        row = coeffs[base:base + deg]
+        columns = [sum(map(mul, row, powers[k:k + deg])) for k in range(deg)]
+        columns += [sum([c * columns[u] for u, c in terms])
+                    for terms in higher]
+        rows.append(columns + columns[:deg - 1])
     count = len(targets) * deg
-    return (columns, _field_bias(count, width), count * width // 8,
-            _WORDS[width])
+    return rows, _field_bias(count, width), count * width // 8, \
+        _WORDS[width]
 
 
-def _map_messages(packed, vecs, labels, deg: int, rows: int) -> list:
+def _map_messages(packed, vecs, labels, rotations, deg: int) -> list:
     """``_messages`` through a packed map (``_packed_map``), exact when no
     field of the sum leaves its signed width.
 
-    The vectors are laid out over every source coordinate, zero for rows
-    without a label, and the sum of the columns times them carries every
+    Label i with rotation r reads the deg columns [r, r + deg) of its row,
+    and the sum of the columns read times the vectors carries every
     message, already reduced.  The bias makes each field a nonnegative
     digit, and flipping its top bit back reads it as a signed word, so one
     conversion to bytes and one array read give every numerator."""
-    columns, bias, size, typecode = packed
-    flat = [0] * (rows * deg)
-    for i, v in zip(labels, vecs):
-        flat[i * deg:(i + 1) * deg] = v
-    words = array(typecode, (sum(map(mul, flat, columns), bias) ^ bias)
-                  .to_bytes(size, sys.byteorder))
+    rows, bias, size, typecode = packed
+    picked = []
+    for i, r in zip(labels, rotations):
+        picked += rows[i][r:r + deg]
+    total = sum(map(mul, itertools.chain.from_iterable(vecs), picked), bias)
+    words = array(typecode, (total ^ bias).to_bytes(size, sys.byteorder))
     return list(zip(*[iter(words)] * deg))
 
 
@@ -633,12 +652,7 @@ def _sparse_columns(matrix, ctx) -> _TermTable:
             most_terms = max(most_terms, terms)
         max_coeff = max(max_coeff, *map(abs, by_coeff), 0)
         columns.append(list(by_coeff.items()))
-    spread = [0] * deg
-    for m in range(2 * deg - 1):
-        for u, c in enumerate(ctx.power_sum((1,), 1, m)):
-            spread[u] += abs(c)
-    return _TermTable(columns, den, rows, most_terms * max_coeff,
-                      max(spread))
+    return _TermTable(columns, den, rows, most_terms * max_coeff)
 
 
 def colored_bracket_direct(g: PlumbingGraph, data: ModularData,

@@ -385,6 +385,23 @@ def test_power_sum_matches_fraction_reference(deg, step):
 
 
 @pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
+def test_rotation_spread_is_the_widest_window(deg):
+    # G against its definition on the powers of zeta reduced by Fraction
+    # long division, and G is reached: the signs of the widest window,
+    # rotated onto it, give a coefficient G
+    ctx = ORACLE_RINGS[deg]
+    M = ctx.M
+    powers = [_ref_reduce(ctx.cyclotomic_poly, [0] * m + [1])
+              for m in range(M)]
+    want, u, a = max((sum(abs(powers[(a + k) % M][u]) for k in range(deg)),
+                      u, a) for u in range(deg) for a in range(M))
+    assert ctx.rotation_spread == want
+    signs = [(c > 0) - (c < 0) for c in
+             (powers[(a + k) % M][u] for k in range(deg))]
+    assert ctx.power_sum(signs, 1, a)[u] == want
+
+
+@pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
 def test_canonical_form_and_json_round_trip(deg):
     ctx = ORACLE_RINGS[deg]
 

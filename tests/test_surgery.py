@@ -588,8 +588,9 @@ LONG_CHAINS = [((3, 3), "su"), ((2, 6), "reduced"),
 @pytest.mark.parametrize("NK,theory,length", [
     pytest.param(NK, theory, length, id=f"{length}-NK{k}-{theory}")
     for length in (300, 1000) for k, (NK, theory) in enumerate(LONG_CHAINS)]
-    # 20 labels at field degree 24: only 8-bit fields fit the column budget
-    # of a packed map over every label
+    # 20 labels at field degree 24: 16-bit fields over every label take
+    # 7680 bits, inside the column budget, but this chain's numerators
+    # outgrow 16 bits within deg steps, so it builds no map
     + [pytest.param((4, 3), "su", 120, id="120-NK5-su")])
 def test_long_chain_matches_plain_messages(NK, theory, length):
     data = modular(*NK, theory)
@@ -678,26 +679,32 @@ def test_s_term_table_dies_with_its_data():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("NK,theory", [
-    ((3, 3), "su"), ((4, 2), "su"), ((2, 6), "reduced"), ((3, 3), "reduced")])
+    ((3, 3), "su"), ((4, 2), "su"), ((2, 6), "reduced"), ((3, 3), "reduced"),
+    ((2, 3), "su"), ((2, 6), "su")])
 def test_packed_map_matches_sparse_messages(NK, theory):
-    # the same content-free vectors through both kernels, on residue-
-    # filtered label and target sets, with operands at the edge of each
-    # word width (the largest max|x| its exactness bound admits) and past
-    # 64 bits, where no map may serve
+    # the same content-free vectors and rotations through both kernels, on
+    # residue-filtered label and target sets: the map reads each rotation
+    # as a column offset, the sparse kernel sums the rotated vectors.  The
+    # rotations 0, deg - 1, deg and M - 1 are in every example with four
+    # labels or more, so the aliased tail of a row is read; operands sit at
+    # the edge of each word width (the largest max|x| that the G bound
+    # admits) and just past 64 bits (the smallest max|x| it sends past),
+    # where no map may serve
     data = modular(*NK, theory)
-    ctx, deg = data.ctx, data.ctx.degree
+    ctx, deg, M = data.ctx, data.ctx.degree, data.ctx.M
     terms = _sparse_columns(data.s_matrix, ctx)
     residues = [None, *range(data.grading_modulus)]
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(residues), st.sampled_from(residues),
-           st.sampled_from(_MAP_WIDTHS + (None,)), st.data())
-    def check(source, target, width, draw):
+           st.sampled_from(_MAP_WIDTHS + (None,)),
+           st.permutations([0, deg - 1, deg, M - 1]), st.data())
+    def check(source, target, width, specials, draw):
         labels = data._labels_by_residue[source]
         targets = data._labels_by_residue[target]
-        scale = terms.spread * terms.term_bound * len(labels)
-        edge = ((1 << (width - 1)) - 1) // scale if width \
-            else (1 << 64) // scale + 1
+        scale = ctx.rotation_spread * terms.term_bound * len(labels)
+        top = (1 << (width or 64) - 1) - 1
+        edge = top // scale if width else top // scale + 1
         value = st.one_of(st.sampled_from([edge, -edge]),
                           st.integers(-edge, edge))
         vecs = draw.draw(st.lists(st.lists(value, min_size=deg,
@@ -705,17 +712,24 @@ def test_packed_map_matches_sparse_messages(NK, theory):
                                   min_size=len(labels),
                                   max_size=len(labels)))
         vecs[0][0] = edge  # max|x| is the edge itself
-        bound = len(labels) * terms.term_bound * edge
-        want = _sparse_messages(ctx, vecs, labels, targets, terms, bound)
+        rotations = draw.draw(st.lists(st.integers(0, M - 1),
+                                       min_size=len(labels),
+                                       max_size=len(labels)))
+        rotations[:len(specials)] = specials[:len(labels)]
+        rotated = [ctx.power_sum(v, 1, r) for v, r in zip(vecs, rotations)]
+        largest = max(abs(x) for v in rotated for x in v)
+        want = _sparse_messages(ctx, rotated, labels, targets, terms,
+                                len(labels) * terms.term_bound * largest)
         assert all(type(x) is tuple and len(x) == deg for x in want)
         if width:
             got = _map_messages(_packed_map(ctx, terms, targets, width),
-                                vecs, labels, deg, terms.rows)
+                                vecs, labels, rotations, deg)
             assert got == want
         # the selection serves the same tuples, whichever kernel it picks;
         # past 64 bits it neither counts the step nor builds a map
         before = dict(terms.served), dict(terms.maps)
-        assert _messages(ctx, vecs, labels, targets, terms) == want
+        assert _messages(ctx, vecs, labels, rotations, targets, terms) \
+            == want
         if not width:
             assert (terms.served, terms.maps) == before
 
@@ -723,18 +737,22 @@ def test_packed_map_matches_sparse_messages(NK, theory):
 
 
 def test_map_is_built_after_deg_sparse_steps():
+    # the rotations make the sparse steps and the map disagree unless both
+    # apply them alike
     data = build_modular_data(3, 3, "su")
     ctx, deg = data.ctx, data.ctx.degree
     terms = s_terms(data)
     labels = targets = data._labels_by_residue[None]
     vecs = [ctx.one().nums] * len(labels)
-    want = _messages(ctx, vecs, labels, targets, terms)
+    rotations = tuple(range(len(labels)))
+    want = _messages(ctx, vecs, labels, rotations, targets, terms)
     (key,) = terms.served
     assert key[0] == targets and not terms.maps
     for _ in range(deg - 1):
-        assert _messages(ctx, vecs, labels, targets, terms) == want
+        assert _messages(ctx, vecs, labels, rotations, targets, terms) \
+            == want
     assert terms.served[key] == deg and not terms.maps
-    assert _messages(ctx, vecs, labels, targets, terms) == want
+    assert _messages(ctx, vecs, labels, rotations, targets, terms) == want
     assert list(terms.maps) == [key]
 
 
@@ -742,6 +760,18 @@ def test_long_chain_builds_a_packed_map():
     data = build_modular_data(3, 3, "su")
     colored_bracket(seeded_chain(120, 5), data)
     assert data._s_terms.maps
+
+
+def test_su26_chain_builds_a_64_bit_map():
+    # 7 labels at field degree 16: a 64-bit column over every label takes
+    # 7168 bits, inside the column budget, and the chain's numerators grow
+    # to need 64-bit fields
+    data = build_modular_data(2, 6, "su")
+    g = seeded_chain(120, 5)
+    packed, plain = both_eliminations(g, _vertex_specs(g, data, None),
+                                      data.s_matrix, data.ctx, s_terms(data))
+    assert (data._labels_by_residue[None], 64) in data._s_terms.maps
+    assert packed == plain
 
 
 def test_small_tree_on_fresh_data_builds_no_map():
