@@ -56,6 +56,7 @@ from .surgery import (
     PlumbingGraph,
     colored_bracket,
     disjoint_union,
+    linking_data,
     parse_plumbing,
     random_forest,
     single_vertex,
@@ -213,7 +214,7 @@ def cmd_invariant(args) -> tuple[dict, bool]:
     data = build_modular_data(args.N, args.K, args.theory)
     write = _scalar_writer(args.precision)
     res = tau(g, data)
-    B = res.report["linking_matrix"]
+    B, _ = linking_data(g)
     doc = {
         "N": args.N,
         "K": args.K,
@@ -433,7 +434,7 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
     for name in names:
         g_ = manifest_graph(name)
         res = manifest_tau(name, red.theory)
-        B = res.report["linking_matrix"]
+        B, _ = linking_data(g_)
         sols = characteristic_solutions(B, d, kind).solutions
         vals = [refined_tau(g_, c, red, kind) for c in sols]
         ok_dec &= sum(vals[1:], vals[0]) == res.value

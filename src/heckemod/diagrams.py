@@ -51,10 +51,6 @@ class YoungDiagram:
         cols = tuple(sum(1 for r in self.rows if r > j) for j in range(self.rows[0]))
         return YoungDiagram(cols)
 
-    def hook_length(self, i: int, j: int) -> int:
-        col = self.transpose().row(j)
-        return self.rows[i] + col - i - j - 1
-
     def hook_lengths(self) -> list[int]:
         """The hook length of every cell, in the order of :meth:`cells`,
         from one transpose."""
@@ -164,17 +160,6 @@ def quantum_dimension(ctx: RingContext, label) -> CycScalar:
             (num if e > 0 else den).extend([q] * abs(e))
     value = reduce(mul, num) if num else ctx.one()
     return value * reduce(mul, den).invert() if den else value
-
-
-def quantum_dimension_general(ctx: RingContext, lam: YoungDiagram) -> CycScalar:
-    """The general-v form prod (v^-1 s^cn - v s^-cn)/(s^hl - s^-hl)."""
-    total = ctx.one()
-    for (i, j), hl in zip(lam.cells(), lam.hook_lengths()):
-        cn = lam.content(i, j)
-        num = ctx.v(-1) * ctx.s(cn) - ctx.v(1) * ctx.s(-cn)
-        den = ctx.s(hl) - ctx.s(-hl)
-        total = total * num * den.invert()
-    return total
 
 
 def twist_exponent(ctx: RingContext, label) -> int:

@@ -238,22 +238,6 @@ class HeckeElement:
         _product(ring, x, y, out)
         return HeckeElement(self.n, ring, _scalars(ring, out, dx * dy))
 
-    # -- tensor embeddings ---------------------------------------------------
-
-    def tensor_right(self, k: int) -> "HeckeElement":
-        """x |-> x (x) 1_k on the last k strands."""
-        n = self.n + k
-        pad = tuple(range(self.n, n))
-        return HeckeElement(n, self.ring, {p + pad: c for p, c in self.terms.items()})
-
-    def tensor_left(self, k: int) -> "HeckeElement":
-        """x |-> 1_k (x) x on the first k strands."""
-        n = self.n + k
-        head = tuple(range(k))
-        return HeckeElement(n, self.ring,
-                            {head + tuple(x + k for x in p): c
-                             for p, c in self.terms.items()})
-
     # -- trace ---------------------------------------------------------------
 
     def partial_trace(self) -> "HeckeElement":

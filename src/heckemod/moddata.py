@@ -272,23 +272,15 @@ class ModularData:
     report: dict
     alpha: int | None = None
     beta: int | None = None
-    # conj(S) packed for dot products, omega^-1 / <k> for fusion; for the
-    # leaf elimination the label indices of each degree residue mod d
-    # (None: all labels), the surgery vertex weights by (labels, e,
-    # f mod M), the messages of leaves by (that key, the parent's labels)
-    # and the sparse term table of S with its packed maps
-    # (surgery._TermTable); for the normalization of tau
-    # Delta_+^-sigma Omega^-half by (sigma, half); all live as long as this
-    # data
+    # the label indices of each degree residue mod d (None: all labels);
+    # conj(S) packed for dot products, omega^-1 / <k> for fusion, the term
+    # table of S with the leaf elimination's state (surgery._TermTable) and
+    # tau's normalization factors by (sigma, half), all as long as this data
+    labels_by_residue: dict = field(init=False, repr=False, compare=False)
     _s_conj_packed: _PackedRows = field(
         init=False, repr=False, compare=False)
     _fusion_scale: list | None = field(
         default=None, init=False, repr=False, compare=False)
-    _labels_by_residue: dict = field(init=False, repr=False, compare=False)
-    _weight_table: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _leaf_messages: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False)
     _s_terms: object | None = field(
         default=None, init=False, repr=False, compare=False)
     _normalizers: dict = field(
@@ -299,7 +291,7 @@ class ModularData:
             self.ctx, ([x.conjugate() for x in row] for row in self.s_matrix))
         d = self.grading_modulus
         residues = [self.degree(lab) % d for lab in self.labels]
-        self._labels_by_residue = {None: tuple(range(len(self.labels)))} | {
+        self.labels_by_residue = {None: tuple(range(len(self.labels)))} | {
             r: tuple(i for i, x in enumerate(residues) if x == r)
             for r in range(d)}
 
@@ -312,6 +304,17 @@ class ModularData:
     @cached_property
     def _omega_inv(self) -> CycScalar:
         return self.omega.invert()
+
+    def normalization(self, sigma: int, half: int) -> CycScalar:
+        """Delta_+^-sigma Omega^-half, the factor that normalizes tau,
+        kept by (sigma, half) so a warm call takes no power."""
+        scale = self._normalizers.get((sigma, half))
+        if scale is None:
+            scale = self._normalizers[sigma, half] = (
+                self._delta_plus_inv ** sigma if sigma > 0
+                else self.delta_plus ** -sigma) * (
+                self._omega_inv ** half if half > 0 else self.omega ** -half)
+        return scale
 
     def index(self, label) -> int:
         return self.labels.index(label)

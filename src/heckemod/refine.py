@@ -46,7 +46,6 @@ __all__ = [
 @dataclass
 class SpinStructureSet:
     d: int
-    B: list
     solutions: list
     kind: str  # "spin" | "coho"
 
@@ -119,7 +118,7 @@ def characteristic_solutions(B, d: int, kind: str) -> SpinStructureSet:
         sols.append(tuple(c))
     if not sols:
         raise ScalarError("internal error: empty characteristic solution set")
-    return SpinStructureSet(d, [list(r) for r in B], sorted(sols), kind)
+    return SpinStructureSet(d, sorted(sols), kind)
 
 
 def is_characteristic(B, c, d: int, kind: str) -> bool:
@@ -252,7 +251,7 @@ def _abelian_gauss_sum(g: PlumbingGraph, su_data: ModularData,
               tuple(u * v.framing * j * j % M for j in labels))
              for v in g.vertices}
     table = [[ctx.zeta(2 * u * i * j) for j in labels] for i in labels]
-    return _eliminate(g, specs, _sparse_columns(table, ctx), ctx, {})
+    return _eliminate(g, specs, _sparse_columns(table, ctx))
 
 
 def u1_invariant(g: PlumbingGraph, su_data: ModularData,

@@ -98,7 +98,6 @@ class RingContext:
         self.a_exp = a_exp % M
         self.s_exp = s_exp % M
         self.v_exp = (-N * s_exp) % M
-        self.d = math.gcd(N, K)
         self.cyclotomic_poly = cyclotomic_polynomial(M)
         deg = self.degree = len(self.cyclotomic_poly) - 1
         # Phi_M is monic: x^deg = sum of p * x^i over these (i, p) terms
@@ -822,10 +821,3 @@ def _complex_json(val, precision: int) -> dict:
     with mpmath.workdps(precision):
         return {"re": mpmath.nstr(val.real, precision),
                 "im": mpmath.nstr(val.imag, precision)}
-
-
-def scalar_from_json(doc: dict, ring: RingContext) -> CycScalar:
-    if doc["order"] != ring.M:
-        raise ScalarError("root order mismatch while parsing a scalar")
-    coeffs = [Fraction(n, d) for n, d in zip(doc["num"], doc["den"])]
-    return ring.from_coeffs(coeffs)

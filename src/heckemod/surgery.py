@@ -306,7 +306,8 @@ def resolve_color(data: ModularData, spec) -> int:
                           f"{data.theory} at ({data.N}, {data.K})") from None
 
 
-def _vertex_specs(g: PlumbingGraph, data: ModularData, degree_filter):
+def _vertex_specs(g: PlumbingGraph, data: ModularData, weights: dict,
+                  degree_filter):
     """For each vertex, its weights in the form ``_eliminate`` reads:
     (key, labels, factors, rotations), label c weighing
     factors[c] * zeta^rotations[c].
@@ -315,9 +316,9 @@ def _vertex_specs(g: PlumbingGraph, data: ModularData, degree_filter):
     with weight <c>^(2-deg) theta_c^framing; link vertices carry their one
     fixed color with weight <c>^(1-deg) theta_c^framing.  theta_c^f is
     zeta^(k_c f) for the twist exponent k_c, so the factor is <c>^e alone,
-    and None where e = 0.  Each spec is read from ``data._weight_table``,
-    keyed (labels, e, f mod M), and built on its first use; that key is
-    the spec's key.
+    and None where e = 0.  Each spec is read from ``weights``, keyed
+    (labels, e, f mod M), and built on its first use; that key is the
+    spec's key.
     """
     d = data.grading_modulus
     surgery_ids = {v.id for v in g.surgery_vertices}
@@ -328,7 +329,6 @@ def _vertex_specs(g: PlumbingGraph, data: ModularData, degree_filter):
         if not 0 <= residue < d:
             raise ScalarError(
                 f"degree filter residue {residue} outside modulus {d}")
-    table = data._weight_table
     M = data.ctx.M
     specs = {}
     for v in g.vertices:
@@ -336,13 +336,13 @@ def _vertex_specs(g: PlumbingGraph, data: ModularData, degree_filter):
         if v.is_link:
             labels, e = (resolve_color(data, v.color),), 1 - deg
         else:
-            labels = data._labels_by_residue[degree_filter.get(v.id)]
+            labels = data.labels_by_residue[degree_filter.get(v.id)]
             e = 2 - deg
         f = v.framing % M
         key = (labels, e, f)
-        spec = table.get(key)
+        spec = weights.get(key)
         if spec is None:
-            spec = table[key] = (
+            spec = weights[key] = (
                 key, labels,
                 tuple(data.dims[c] ** e for c in labels) if e else None,
                 tuple(twist_exponent(data.ctx, data.labels[c]) * f % M
@@ -362,21 +362,22 @@ def _spec_weights(spec, ctx) -> dict:
 
 def colored_bracket(g: PlumbingGraph, data: ModularData,
                     degree_filter=None) -> CycScalar:
-    """<L(Omega, ..., Omega)> by leaf elimination over the forest."""
-    specs = _vertex_specs(g, data, degree_filter)
-    if data._s_terms is None:
-        data._s_terms = _sparse_columns(data.s_matrix, data.ctx)
-    return _eliminate(g, specs, data._s_terms, data.ctx, data._leaf_messages)
+    """<L(Omega, ..., Omega)> by leaf elimination over the forest, on the
+    term table of S kept on ``data`` with its weights and leaf messages."""
+    table = data._s_terms
+    if table is None:
+        table = data._s_terms = _sparse_columns(data.s_matrix, data.ctx)
+    return _eliminate(g, _vertex_specs(g, data, table.weights, degree_filter),
+                      table)
 
 
-def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
-               leaf_messages: dict) -> CycScalar:
+def _eliminate(g: PlumbingGraph, specs: dict, table) -> CycScalar:
     """Sum over the labelings of the vertices, each vertex v taking a label
     c of its spec (key, labels, factors, rotations), of the product of the
     vertex weights factors[c] * zeta^rotations[c] (factor 1 where factors
     is None) and of matrix[i][j] over every edge with end labels i and j,
-    where ``matrix_terms`` is ``_sparse_columns(matrix, ctx)``.
-    Equal keys must mean equal specs.
+    where ``table`` is ``_sparse_columns(matrix, ctx)``, which also gives
+    the ring.  Equal keys must mean equal specs.
 
     The preorder is read backwards, so each vertex folds into its parent
     after all of its children have folded into it.  Values and messages
@@ -393,9 +394,9 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
     to the result.
 
     The messages of a leaf depend only on its spec and its parent's labels,
-    so they are kept in ``leaf_messages`` under (key, parent labels).
+    so they are kept in the table's ``leaves`` under (key, parent labels).
     """
-    matrix_den = matrix_terms.den
+    ctx, leaves, matrix_den = table.ring, table.leaves, table.den
     total = ctx.one().nums  # the product of the tree sums so far
     scale_num = scale_den = 1
     below = {}  # vertex -> products of its eliminated children's messages
@@ -408,14 +409,14 @@ def _eliminate(g: PlumbingGraph, specs: dict, matrix_terms, ctx,
         else:
             targets = specs[parent][1]
             key = (spec[0], targets)
-            found = leaf_messages.get(key) if values is None else None
+            found = leaves.get(key) if values is None else None
             if found is None:
                 content, den, vecs = _vertex_vectors(ctx, spec, values)
                 found = content, den * matrix_den, _messages(
-                    ctx, vecs, spec[1], spec[3], targets, matrix_terms) \
+                    ctx, vecs, spec[1], spec[3], targets, table) \
                     if content else None
                 if values is None:
-                    leaf_messages[key] = found
+                    leaves[key] = found
             content, den, messages = found
         if not content:
             return ctx.zero()  # every value, so every message, is zero
@@ -475,7 +476,8 @@ _MAP_COLUMN_BITS = 8192
 
 class _TermTable:
     """The sparse terms of a matrix over one denominator, for ``_messages``
-    (built by :func:`_sparse_columns`).
+    (built by :func:`_sparse_columns`), and the leaf elimination's state
+    over that matrix.
 
     ``columns[j]`` lists the (s, places) of column j: ``places`` are the
     positions i * deg + t of the terms s x^t of the numerators D *
@@ -483,19 +485,21 @@ class _TermTable:
     entry (its most terms times the largest |s|).  ``maps`` keeps the
     packed maps (:func:`_packed_map`) by (targets, width), and ``served``
     counts the steps each such key has taken on the sparse terms before
-    its map.
+    its map.  ``ring`` is the matrix's ring; ``weights`` keeps the vertex
+    specs (:func:`_vertex_specs`) by (labels, e, f mod M) and ``leaves``
+    the messages of leaves by (spec key, parent labels) (:func:`_eliminate`).
     """
 
-    __slots__ = ("columns", "den", "rows", "term_bound", "served", "maps",
-                 "__weakref__")
+    __slots__ = ("ring", "columns", "den", "rows", "term_bound", "served",
+                 "maps", "weights", "leaves", "__weakref__")
 
-    def __init__(self, columns, den, rows, term_bound):
+    def __init__(self, ring, columns, den, rows, term_bound):
+        self.ring = ring
         self.columns = columns
         self.den = den
         self.rows = rows
         self.term_bound = term_bound
-        self.served = {}
-        self.maps = {}
+        self.served, self.maps, self.weights, self.leaves = {}, {}, {}, {}
 
 
 def _messages(ctx, vecs, labels, rotations, targets, matrix_terms) -> list:
@@ -634,7 +638,7 @@ def _map_messages(packed, vecs, labels, rotations, deg: int) -> list:
 def _sparse_columns(matrix, ctx) -> _TermTable:
     """The nonzero terms s x^t of ``matrix`` column by column, over one
     denominator D, the lcm of the denominators of all entries, as a
-    :class:`_TermTable` with no packed maps yet."""
+    :class:`_TermTable` with no packed maps, weights or leaf messages yet."""
     deg = ctx.degree
     rows = len(matrix)
     vecs, den = _common_den([x for column in zip(*matrix) for x in column])
@@ -652,7 +656,7 @@ def _sparse_columns(matrix, ctx) -> _TermTable:
             most_terms = max(most_terms, terms)
         max_coeff = max(max_coeff, *map(abs, by_coeff), 0)
         columns.append(list(by_coeff.items()))
-    return _TermTable(columns, den, rows, most_terms * max_coeff)
+    return _TermTable(ctx, columns, den, rows, most_terms * max_coeff)
 
 
 def colored_bracket_direct(g: PlumbingGraph, data: ModularData,
@@ -661,7 +665,7 @@ def colored_bracket_direct(g: PlumbingGraph, data: ModularData,
     vertices.  Exponential in the vertex count; intended for small graphs."""
     ctx = data.ctx
     cands = {vid: list(_spec_weights(spec, ctx).items()) for vid, spec in
-             _vertex_specs(g, data, degree_filter).items()}
+             _vertex_specs(g, data, {}, degree_filter).items()}
     order = [v.id for v in g.vertices]
     total = ctx.zero()
     for choice in itertools.product(*(cands[vid] for vid in order)):
@@ -685,18 +689,12 @@ def _normalized(bracket: CycScalar, sigma: int, m: int,
 
     With eta^2 = Omega^-1 and m - sigma = 2 half + rem, that is
     Delta_+^-sigma Omega^-half eta^rem: the factor Delta_+^-sigma
-    Omega^-half is kept on the data by (sigma, half), so a call makes one
+    Omega^-half is ``data.normalization(sigma, half)``, so a call makes one
     product, and the eta power handed on is already in {0, 1}.
     """
     half, rem = divmod(m - sigma, 2)
     if sigma or half:
-        scale = data._normalizers.get((sigma, half))
-        if scale is None:
-            scale = data._normalizers[sigma, half] = (
-                data._delta_plus_inv ** sigma if sigma > 0
-                else data.delta_plus ** -sigma) * (
-                data._omega_inv ** half if half > 0 else data.omega ** -half)
-        bracket = bracket * scale
+        bracket = bracket * data.normalization(sigma, half)
     return ExtScalar(bracket, rem, data.theory, data.omega)
 
 
@@ -705,7 +703,8 @@ class SurgeryInvariantResult:
     value: ExtScalar
     theory: str
     signature: int
-    report: dict = field(default_factory=dict)
+    surgery_vertices: int
+    bracket: CycScalar
 
 
 def tau(g: PlumbingGraph, data: ModularData) -> SurgeryInvariantResult:
@@ -718,14 +717,7 @@ def tau(g: PlumbingGraph, data: ModularData) -> SurgeryInvariantResult:
         raise ScalarError(
             "the degree-zero invariant is undefined at a spin rank-level: "
             "Delta_+ vanishes, so the signature normalization does not exist")
-    B, sigma = linking_data(g)
-    m = len(B)
+    m, sigma = _signature(g)
     bracket = colored_bracket(g, data)
-    value = _normalized(bracket, sigma, m, data)
-    report = {
-        "linking_matrix": B,
-        "signature": sigma,
-        "surgery_vertices": m,
-        "bracket": bracket,
-    }
-    return SurgeryInvariantResult(value, data.theory, sigma, report)
+    return SurgeryInvariantResult(_normalized(bracket, sigma, m, data),
+                                  data.theory, sigma, m, bracket)

@@ -1,5 +1,9 @@
-"""Hecke-algebra constructions that only the tests use: central
-idempotents, Young quasi-idempotents and the quantum hook product."""
+"""Constructions that only the tests use: central idempotents, Young
+quasi-idempotents, the quantum hook product and the tensor embeddings of
+Hecke elements, the general-v form of the quantum dimension, the hook
+length of one cell, and a scalar read back from its JSON form."""
+
+from fractions import Fraction
 
 from heckemod.diagrams import YoungDiagram
 from heckemod.hecke import (
@@ -11,7 +15,7 @@ from heckemod.hecke import (
     standard_tableaux,
     symmetrizer,
 )
-from heckemod.scalars import CycScalar, RingContext
+from heckemod.scalars import CycScalar, RingContext, ScalarError
 
 
 def standard_tableaux_of_shape(lam: YoungDiagram) -> list[StandardTableau]:
@@ -61,7 +65,7 @@ def young_quasi_idempotent(lam: YoungDiagram, ring: RingContext) -> HeckeElement
 
 
 def _embed(x: HeckeElement, offset: int, n: int, ring: RingContext) -> HeckeElement:
-    return x.tensor_left(offset).tensor_right(n - offset - x.n)
+    return tensor_right(tensor_left(x, offset), n - offset - x.n)
 
 
 def quantum_hook_product(lam: YoungDiagram, ring: RingContext) -> CycScalar:
@@ -69,3 +73,42 @@ def quantum_hook_product(lam: YoungDiagram, ring: RingContext) -> CycScalar:
     for hl in lam.hook_lengths():
         total = total * ring.quantum_integer(hl)
     return total
+
+
+def tensor_right(x: HeckeElement, k: int) -> HeckeElement:
+    """x |-> x (x) 1_k on the last k strands."""
+    n = x.n + k
+    pad = tuple(range(x.n, n))
+    return HeckeElement(n, x.ring, {p + pad: c for p, c in x.terms.items()})
+
+
+def tensor_left(x: HeckeElement, k: int) -> HeckeElement:
+    """x |-> 1_k (x) x on the first k strands."""
+    head = tuple(range(k))
+    return HeckeElement(x.n + k, x.ring,
+                        {head + tuple(i + k for i in p): c
+                         for p, c in x.terms.items()})
+
+
+def quantum_dimension_general(ctx: RingContext, lam: YoungDiagram) -> CycScalar:
+    """The general-v form prod (v^-1 s^cn - v s^-cn)/(s^hl - s^-hl)."""
+    total = ctx.one()
+    for (i, j), hl in zip(lam.cells(), lam.hook_lengths()):
+        cn = lam.content(i, j)
+        num = ctx.v(-1) * ctx.s(cn) - ctx.v(1) * ctx.s(-cn)
+        den = ctx.s(hl) - ctx.s(-hl)
+        total = total * num * den.invert()
+    return total
+
+
+def hook_length(lam: YoungDiagram, i: int, j: int) -> int:
+    """The hook length of the cell (i, j) of lam alone."""
+    return lam.rows[i] + lam.transpose().row(j) - i - j - 1
+
+
+def scalar_from_json(doc: dict, ring: RingContext) -> CycScalar:
+    """The scalar of a ``scalars.scalar_to_json`` document, in ``ring``."""
+    if doc["order"] != ring.M:
+        raise ScalarError("root order mismatch while parsing a scalar")
+    coeffs = [Fraction(n, d) for n, d in zip(doc["num"], doc["den"])]
+    return ring.from_coeffs(coeffs)

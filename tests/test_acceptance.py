@@ -59,9 +59,10 @@ from heckemod.surgery import (
     tau,
 )
 
-from hecke_helpers import (
+from helpers import (
     central_idempotent,
     quantum_hook_product,
+    tensor_right,
     young_quasi_idempotent,
 )
 
@@ -209,7 +210,7 @@ def test_criterion_05_braid_algebra_oracle():
                     failures.append(f"quasi-idempotent at {(N, K)}, {lam}")
         for n in (2, 3):
             for t in standard_tableaux(n):
-                pt = path_idempotent(t, ctx).tensor_right(1)
+                pt = tensor_right(path_idempotent(t, ctx), 1)
                 total = HeckeElement(n + 1, ctx, {})
                 for (i, j) in addable_cells(t.shape()):
                     rows = list(t.shape().rows) \

@@ -23,11 +23,12 @@ from heckemod.moddata import build_modular_data
 from heckemod.scalars import (
     ExtScalar,
     ScalarError,
-    scalar_from_json,
     scalar_to_json,
     su_parameters,
 )
 from heckemod.surgery import parse_plumbing, plumbing_to_json, tau
+
+from helpers import scalar_from_json
 
 
 def run(capsys, *argv):

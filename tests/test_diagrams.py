@@ -10,13 +10,14 @@ from heckemod.diagrams import (
     enumerate_sector,
     orbit_representatives,
     quantum_dimension,
-    quantum_dimension_general,
     star_involution,
     twist_coefficient,
     twist_exponent,
     zn_action,
 )
 from heckemod.scalars import ScalarError, solve_framing_reduced, su_parameters
+
+from helpers import hook_length, quantum_dimension_general
 
 
 def brute_force_tableau_count(lam: YoungDiagram) -> int:
@@ -63,7 +64,7 @@ def test_diagram_stats_row():
 
 def test_hook_lengths_match_each_cell():
     for lam in enumerate_sector(4, 5, "bar"):
-        assert lam.hook_lengths() == [lam.hook_length(i, j)
+        assert lam.hook_lengths() == [hook_length(lam, i, j)
                                       for i, j in lam.cells()]
 
 

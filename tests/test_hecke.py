@@ -32,10 +32,12 @@ from heckemod.hecke import (
 )
 from heckemod.scalars import ScalarError, su_parameters
 
-from hecke_helpers import (
+from helpers import (
     central_idempotent,
     quantum_hook_product,
     standard_tableaux_of_shape,
+    tensor_left,
+    tensor_right,
     young_quasi_idempotent,
 )
 
@@ -177,9 +179,9 @@ def _recursive_symmetrizer(n, kind, ring):
     coef = q(2) * q(n - 1) * q(n).invert()
     prev = _recursive_symmetrizer(n - 1, kind, ring)
     if kind == "f":
-        fp, f2 = prev.tensor_right(1), f2.tensor_left(n - 2)
+        fp, f2 = tensor_right(prev, 1), tensor_left(f2, n - 2)
         return ((-1) * q(n - 2) * q(n).invert()) * fp + coef * (fp * f2 * fp)
-    gp, f2 = prev.tensor_left(1), f2.tensor_right(n - 2)
+    gp, f2 = tensor_left(prev, 1), tensor_right(f2, n - 2)
     return gp - coef * (gp * f2 * gp)
 
 
@@ -227,11 +229,11 @@ def test_two_symmetrizer_identity(ctx):
     #                   + [p][q+1] (f_p (x) 1_q)(1_{p-1} (x) g_{q+1})(f_p (x) 1_q)
     for (p, q) in [(1, 1), (2, 1)]:
         n = p + q
-        fp = symmetrizer(p, "f", ctx).tensor_right(q)
-        gq = symmetrizer(q, "g", ctx).tensor_left(p)
+        fp = tensor_right(symmetrizer(p, "f", ctx), q)
+        gq = tensor_left(symmetrizer(q, "g", ctx), p)
         lhs = ctx.quantum_integer(p + q) * (fp * gq)
-        t1 = gq * symmetrizer(p + 1, "f", ctx).tensor_right(q - 1) * gq
-        t2 = fp * symmetrizer(q + 1, "g", ctx).tensor_left(p - 1) * fp
+        t1 = gq * tensor_right(symmetrizer(p + 1, "f", ctx), q - 1) * gq
+        t2 = fp * tensor_left(symmetrizer(q + 1, "g", ctx), p - 1) * fp
         rhs = (ctx.quantum_integer(p + 1) * ctx.quantum_integer(q)) * t1 \
             + (ctx.quantum_integer(p) * ctx.quantum_integer(q + 1)) * t2
         assert lhs == rhs
@@ -301,7 +303,7 @@ def test_branching(ctx):
     for n in (2, 3):
         for t in standard_tableaux(n):
             lam = t.shape()
-            pt = path_idempotent(t, ctx).tensor_right(1)
+            pt = tensor_right(path_idempotent(t, ctx), 1)
             total = HeckeElement(n + 1, ctx, {})
             for (i, j) in addable_cells(lam):
                 rows = list(lam.rows) + [0] * (i + 1 - lam.num_rows)
@@ -329,7 +331,7 @@ def test_column_object_crossing():
     # for mu = (2, 1^{N-1}) — the crossing factor of the column object
     for (N, K) in [(2, 3), (3, 2)]:
         ctx = su_parameters(N, K)
-        g = symmetrizer(N, "g", ctx).tensor_right(1)
+        g = tensor_right(symmetrizer(N, "g", ctx), 1)
         j = jucys_murphy(N + 1, N + 1, ctx)
         mu = YoungDiagram((2,) + (1,) * (N - 1))
         z = central_idempotent(mu, N + 1, ctx)

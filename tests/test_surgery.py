@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from heckemod.diagrams import ReducedLabel, YoungDiagram
 from heckemod.moddata import build_modular_data
-from heckemod.refine import characteristic_solutions
+from heckemod import surgery
+from heckemod.refine import characteristic_solutions, refined_tau
 from heckemod.scalars import CycScalar, ScalarError
 from heckemod.surgery import (
     _MAP_WIDTHS,
@@ -361,23 +362,29 @@ def eliminate_plain(g, weights, matrix, ctx):
 
 def s_terms(data):
     """The term table of S kept on ``data``, built as colored_bracket
-    builds it, so every caller shares its packed maps."""
+    builds it, so every caller shares its packed maps, weights and leaf
+    messages."""
     if data._s_terms is None:
         data._s_terms = _sparse_columns(data.s_matrix, data.ctx)
     return data._s_terms
 
 
+def data_specs(g, data, degree_filter=None):
+    """The vertex specs of g as colored_bracket reads them, from the
+    weights of the data's term table."""
+    return _vertex_specs(g, data, s_terms(data).weights, degree_filter)
+
+
 def both_eliminations(g, specs, matrix, ctx, terms=None):
     """(packed, plain) values of the same vertex specs.  The packed one runs
-    with a cold and then with a warm table of leaf messages, which must
-    agree.  ``terms`` is the term table of ``matrix`` (``s_terms`` of the
-    data whose S it is, so its packed maps are warm across examples), or
-    None for a fresh one."""
+    twice on one table of leaf messages, which must agree; a fresh table is
+    cold on the first run.  ``terms`` is the term table of ``matrix``
+    (``s_terms`` of the data whose S it is, so its packed maps and leaf
+    messages are warm across examples), or None for a fresh one."""
     if terms is None:
         terms = _sparse_columns(matrix, ctx)
-    leaf_messages = {}
-    packed = _eliminate(g, specs, terms, ctx, leaf_messages)
-    assert _eliminate(g, specs, terms, ctx, leaf_messages) == packed
+    packed = _eliminate(g, specs, terms)
+    assert _eliminate(g, specs, terms) == packed
     weights = {vid: _spec_weights(spec, ctx) for vid, spec in specs.items()}
     return packed, eliminate_plain(g, weights, matrix, ctx)
 
@@ -431,7 +438,7 @@ def test_packed_bracket_matches_plain_messages(NK, theory, colors):
         filt = {v.id: r for v, r in zip(g.surgery_vertices, residues)} \
             if filtered and theory == "reduced" else None
         packed, plain = both_eliminations(
-            g, _vertex_specs(g, data, filt), data.s_matrix, data.ctx,
+            g, data_specs(g, data, filt), data.s_matrix, data.ctx,
             s_terms(data))
         assert packed == plain
         assert packed == colored_bracket(g, data, filt)
@@ -492,7 +499,7 @@ def test_bracket_on_link_degrees_and_branch_points(shape, NK, theory):
     expected = colored_bracket_direct(g, data)
     for h in (g, shifted):
         packed, plain = both_eliminations(
-            h, _vertex_specs(h, data, None), data.s_matrix, data.ctx,
+            h, data_specs(h, data), data.s_matrix, data.ctx,
             s_terms(data))
         assert packed == plain == expected
         assert colored_bracket(h, data) == expected
@@ -595,7 +602,7 @@ LONG_CHAINS = [((3, 3), "su"), ((2, 6), "reduced"),
 def test_long_chain_matches_plain_messages(NK, theory, length):
     data = modular(*NK, theory)
     g = seeded_chain(length, 2026)
-    packed, plain = both_eliminations(g, _vertex_specs(g, data, None),
+    packed, plain = both_eliminations(g, data_specs(g, data),
                                       data.s_matrix, data.ctx, s_terms(data))
     assert packed == plain == colored_bracket(g, data)
     assert not packed.is_zero()
@@ -610,68 +617,42 @@ def assert_maps_held_by_their_table(table):
         assert gc.get_referrers(packed) == [table.maps]
 
 
-def test_weight_table_dies_with_its_data():
-    # the long chain makes the term table build a packed map, which goes
-    # with the data like the weights
-    data = build_modular_data(2, 3, "su")
-    tau(chain([-2, 3, 1]), data)
-    tau(seeded_chain(120, 7), data)
-    assert data._weight_table
-    assert all(f.ring is data.ctx for spec in data._weight_table.values()
-               for f in spec[2] or ())
-    assert_maps_held_by_their_table(data._s_terms)
-    ref, table = weakref.ref(data.ctx), weakref.ref(data._s_terms)
-    del data
-    gc.collect()
-    assert ref() is None and table() is None
-
-
-def test_leaf_messages_live_on_their_data():
-    # the leaf messages and the packed maps (the long chain builds some)
-    # are filled on the data and nowhere else: the module namespace is
-    # unchanged, a warm table gives the bracket of a cold one, the messages
-    # are integer numerator tuples that hold no ring, and the ring and the
-    # maps go with the data
-    from heckemod import surgery
+def test_term_table_keeps_the_leaf_elimination_state():
+    # the weights, the leaf messages and the packed maps (the long chain
+    # builds some) are filled on the term table of S and nowhere else: the
+    # module namespace is unchanged, a warm table gives the bracket of a
+    # cold one and of fresh data, the weights are scalars of the data's
+    # ring and the messages integer numerator tuples that hold no ring; the
+    # data is the table's one holder, and the ring, the table and the data
+    # go together
     names = {name: id(x) for name, x in vars(surgery).items()}
     data = build_modular_data(2, 3, "su")
+    tau(chain([-2, 3, 1]), data)
     g = disjoint_union(chain([-2, 3, 1, 5]), star(2, [
         ("x", -1, None), ("y", -1 + data.ctx.M, None), ("z", 2, LINK)]))
     g = disjoint_union(g, seeded_chain(120, 11))
     cold = colored_bracket(g, data)
-    assert data._leaf_messages
-    assert_maps_held_by_their_table(data._s_terms)
+    table = data._s_terms
+    assert table.weights and table.leaves
+    assert all(f.ring is data.ctx for spec in table.weights.values()
+               for f in spec[2] or ())
     deg = data.ctx.degree
     assert all(type(x) is tuple and len(x) == deg
                and all(type(c) is int for c in x)
-               for _, _, messages in data._leaf_messages.values()
+               for _, _, messages in table.leaves.values()
                for x in messages)
+    assert_maps_held_by_their_table(table)
     assert colored_bracket(g, data) == cold
+    assert data._s_terms is table  # built once per data
     assert colored_bracket(g, build_modular_data(2, 3, "su")) == cold
     assert {name: id(x) for name, x in vars(surgery).items()} == names
-    ref, table = weakref.ref(data.ctx), weakref.ref(data._s_terms)
-    del data, cold
-    gc.collect()
-    assert ref() is None and table() is None
-
-
-def test_s_term_table_dies_with_its_data():
-    data = build_modular_data(2, 3, "su")
-    g = chain([-2, 3, 1])
-    colored_bracket(g, data)
-    table = data._s_terms
-    colored_bracket(g, data)
-    assert data._s_terms is table  # built once per data
     del table
-    # the data (or its attribute dict) is the table's one holder, and
-    # nothing holds the data
     (holder,) = gc.get_referrers(data._s_terms)
     assert holder is data or holder is vars(data)
-    del holder
-    ref = weakref.ref(data)
-    del data
+    refs = [weakref.ref(x) for x in (data.ctx, data._s_terms, data)]
+    del holder, data, cold
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +681,8 @@ def test_packed_map_matches_sparse_messages(NK, theory):
            st.sampled_from(_MAP_WIDTHS + (None,)),
            st.permutations([0, deg - 1, deg, M - 1]), st.data())
     def check(source, target, width, specials, draw):
-        labels = data._labels_by_residue[source]
-        targets = data._labels_by_residue[target]
+        labels = data.labels_by_residue[source]
+        targets = data.labels_by_residue[target]
         scale = ctx.rotation_spread * terms.term_bound * len(labels)
         top = (1 << (width or 64) - 1) - 1
         edge = top // scale if width else top // scale + 1
@@ -742,7 +723,7 @@ def test_map_is_built_after_deg_sparse_steps():
     data = build_modular_data(3, 3, "su")
     ctx, deg = data.ctx, data.ctx.degree
     terms = s_terms(data)
-    labels = targets = data._labels_by_residue[None]
+    labels = targets = data.labels_by_residue[None]
     vecs = [ctx.one().nums] * len(labels)
     rotations = tuple(range(len(labels)))
     want = _messages(ctx, vecs, labels, rotations, targets, terms)
@@ -768,9 +749,9 @@ def test_su26_chain_builds_a_64_bit_map():
     # to need 64-bit fields
     data = build_modular_data(2, 6, "su")
     g = seeded_chain(120, 5)
-    packed, plain = both_eliminations(g, _vertex_specs(g, data, None),
+    packed, plain = both_eliminations(g, data_specs(g, data),
                                       data.s_matrix, data.ctx, s_terms(data))
-    assert (data._labels_by_residue[None], 64) in data._s_terms.maps
+    assert (data.labels_by_residue[None], 64) in data._s_terms.maps
     assert packed == plain
 
 
@@ -790,30 +771,50 @@ def test_map_past_the_column_budget_is_never_built():
 
 def test_normalization_factors_live_on_their_data(monkeypatch):
     # Delta_+^-sigma Omega^-half is kept on the data by (sigma, half): a warm
-    # tau raises nothing to a power, and the value is the bracket times the
-    # two powers taken apart
+    # tau or ModularData.normalization raises nothing to a power, and the
+    # value is the bracket times the two powers taken apart
     data = build_modular_data(3, 3, "su")
     rng = random.Random(41)
     graphs = [chain([-2, 3, 1, 5]), chain([1, 1, 1]), single_vertex(-4)]
     graphs += [random_forest(rng) for _ in range(6)]
     cold = [tau(g, data) for g in graphs]
     keys = set()
-    for res in cold:
-        m = res.report["surgery_vertices"]
+    for g, res in zip(graphs, cold):
+        m = res.surgery_vertices
         sigma = res.signature
+        assert (m, sigma) == _signature(g)
         half, rem = divmod(m - sigma, 2)
         if sigma or half:
             keys.add((sigma, half))
-        want = res.report["bracket"] * data.delta_plus ** -sigma \
-            * data.omega ** -half
+        want = res.bracket * data.delta_plus ** -sigma * data.omega ** -half
         assert (res.value.base, res.value.eta_pow) == (want, rem)
     assert set(data._normalizers) == keys and len(keys) > 1
+    factors = {key: data.normalization(*key) for key in keys}
 
     def no_powers(self, n):
         raise AssertionError("a power was taken on a warm call")
 
     monkeypatch.setattr(CycScalar, "__pow__", no_powers)
     assert [tau(g, data).value for g in graphs] == [r.value for r in cold]
+    assert {key: data.normalization(*key) for key in keys} == factors
+
+
+def test_tau_builds_no_linking_matrix(monkeypatch, red22):
+    # tau and refined_tau take (m, sigma) from the forest itself; the dense
+    # matrix is for the command line, which prints it
+    g = disjoint_union(chain([-2, 3, 1]), star(1, [("x", 2, None),
+                                                  ("y", 0, None)]))
+    structures = characteristic_solutions(
+        linking_data(g)[0], red22.grading_modulus, "spin").solutions
+    want = tau(g, red22).value
+
+    def no_matrix(g):
+        raise AssertionError("tau built the linking matrix")
+
+    monkeypatch.setattr(surgery, "linking_data", no_matrix)
+    assert tau(g, red22).value == want
+    parts = [refined_tau(g, c, red22, "spin") for c in structures]
+    assert sum(parts[1:], parts[0]) == want
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +884,7 @@ def test_blow_up_invariance(su22, red33):
             for fr, delta in [(1, data.delta_plus), (-1, data.delta_minus)]:
                 blown = disjoint_union(g, single_vertex(fr, "blow"))
                 res = tau(blown, data)
-                assert res.report["bracket"] == base.report["bracket"] * delta
+                assert res.bracket == base.bracket * delta
                 assert res.value == base.value
 
 
