@@ -617,42 +617,70 @@ def assert_maps_held_by_their_table(table):
         assert gc.get_referrers(packed) == [table.maps]
 
 
-def test_term_table_keeps_the_leaf_elimination_state():
-    # the weights, the leaf messages and the packed maps (the long chain
-    # builds some) are filled on the term table of S and nowhere else: the
-    # module namespace is unchanged, a warm table gives the bracket of a
-    # cold one and of fresh data, the weights are scalars of the data's
-    # ring and the messages integer numerator tuples that hold no ring; the
-    # data is the table's one holder, and the ring, the table and the data
-    # go together
-    names = {name: id(x) for name, x in vars(surgery).items()}
+def test_weight_table_dies_with_its_data():
+    # the weights are filled on the term table of S; the long chain makes
+    # the table build a packed map, which goes with the data like the
+    # weights
     data = build_modular_data(2, 3, "su")
     tau(chain([-2, 3, 1]), data)
+    tau(seeded_chain(120, 7), data)
+    table = data._s_terms
+    assert table.weights
+    assert all(f.ring is data.ctx for spec in table.weights.values()
+               for f in spec[2] or ())
+    assert_maps_held_by_their_table(table)
+    ref, table = weakref.ref(data.ctx), weakref.ref(table)
+    del data
+    gc.collect()
+    assert ref() is None and table() is None
+
+
+def test_leaf_messages_live_on_their_data():
+    # the leaf messages and the packed maps (the long chain builds some)
+    # are filled on the term table of the data and nowhere else: the module
+    # namespace is unchanged, a warm table gives the bracket of a cold one
+    # and of fresh data, the messages are integer numerator tuples that
+    # hold no ring, and the ring and the table go with the data
+    names = {name: id(x) for name, x in vars(surgery).items()}
+    data = build_modular_data(2, 3, "su")
     g = disjoint_union(chain([-2, 3, 1, 5]), star(2, [
         ("x", -1, None), ("y", -1 + data.ctx.M, None), ("z", 2, LINK)]))
     g = disjoint_union(g, seeded_chain(120, 11))
     cold = colored_bracket(g, data)
     table = data._s_terms
-    assert table.weights and table.leaves
-    assert all(f.ring is data.ctx for spec in table.weights.values()
-               for f in spec[2] or ())
+    assert table.leaves
+    assert_maps_held_by_their_table(table)
     deg = data.ctx.degree
     assert all(type(x) is tuple and len(x) == deg
                and all(type(c) is int for c in x)
                for _, _, messages in table.leaves.values()
                for x in messages)
-    assert_maps_held_by_their_table(table)
     assert colored_bracket(g, data) == cold
-    assert data._s_terms is table  # built once per data
     assert colored_bracket(g, build_modular_data(2, 3, "su")) == cold
     assert {name: id(x) for name, x in vars(surgery).items()} == names
+    ref, table = weakref.ref(data.ctx), weakref.ref(table)
+    del data, cold
+    gc.collect()
+    assert ref() is None and table() is None
+
+
+def test_s_term_table_dies_with_its_data():
+    data = build_modular_data(2, 3, "su")
+    g = chain([-2, 3, 1])
+    colored_bracket(g, data)
+    table = data._s_terms
+    colored_bracket(g, data)
+    assert data._s_terms is table  # built once per data
     del table
+    # the data (or its attribute dict) is the table's one holder, and
+    # nothing holds the data
     (holder,) = gc.get_referrers(data._s_terms)
     assert holder is data or holder is vars(data)
-    refs = [weakref.ref(x) for x in (data.ctx, data._s_terms, data)]
-    del holder, data, cold
+    del holder
+    ref = weakref.ref(data)
+    del data
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 3
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
