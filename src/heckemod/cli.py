@@ -383,12 +383,15 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
 
     try:
         ok_fusion = True
-        for lam in su.labels:
-            for mu in su.labels:
+        # the weights S_lk S_mk / (omega <k>) commute, so (mu, lam) gives
+        # the same values as (lam, mu): one Verlinde sum per unordered pair
+        for i, lam in enumerate(su.labels):
+            for mu in su.labels[i:]:
                 out = fusion_coefficients(su, lam, mu)
                 if full and lam.size + mu.size <= K:
                     ok_fusion &= all(
-                        out.get(nu, 0) == fusion_from_lr(N, lam, mu, nu)
+                        out.get(nu, 0) == fusion_from_lr(N, x, y, nu)
+                        for x, y in ((lam, mu), (mu, lam))
                         for nu in su.labels)
         gates["fusion_integrality"] = ok_fusion
     except ScalarError:

@@ -26,10 +26,12 @@ from .diagrams import (
     twist_coefficient,
 )
 from .scalars import (
+    _WORDS,
     CycScalar,
     RingContext,
     ScalarError,
-    _dot_width,
+    _from_packed,
+    _pack,
     _PackedRows,
     _packed_combination,
     _packed_dot,
@@ -39,6 +41,10 @@ from .scalars import (
 )
 
 THEORIES = ("su", "psu", "reduced")
+# the widest word the modularity gate rounds its field width up to: past
+# 16 bits, the wider products of a large S cost more than the word read of
+# each summed product saves
+_GATE_WORD_BITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +151,18 @@ def s_matrix_entry(ctx: RingContext, lam, mu, column: tuple | None = None) -> Cy
     return pref * val * dim_mu
 
 
-def _s_matrix(ctx: RingContext, labels: list) -> list:
-    """Every entry of S, in the Kac-Peterson form of :func:`s_matrix_entry`.
+def _fit(bound: int, widest: int) -> int:
+    """The width in bits of signed fields that hold every integer of
+    absolute value at most ``bound``: the smallest word width (a key of
+    ``_WORDS``) of at most ``widest`` bits that does, else the exact width,
+    the bound's bit length plus a sign bit."""
+    need = bound.bit_length() + 1
+    return min((w for w in _WORDS if need <= w <= widest), default=need)
+
+
+def _s_matrix(ctx: RingContext, labels: list) -> tuple:
+    """Every entry of S, in the Kac-Peterson form of :func:`s_matrix_entry`,
+    and the packed rows that the modularity gate reads.
 
     With l = lam + rho and m = mu + rho, S_{lam,mu} = c zeta^e A(lam, mu),
     where A(lam, mu) = det(s^(2 l_i m_j)) is the Weyl alternant, the
@@ -155,8 +171,9 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
     mu), and e = 2a|lam||mu| - (N-1)s(|lam| + |mu|), plus the column-object
     crossing term for reduced labels, as an exponent of zeta.  e shifts the
     index of the alternant's exponent counts h (:func:`_alternant_terms`),
-    so the entry is the combination sum_k h_k c zeta^k of one packed table,
-    over the at most min(N, K)! exponents k that a term hits.
+    so the entry is the combination sum_k h_k P_k of the packed numerators
+    P_k of c zeta^k, over the at most min(N, K)! exponents k that a term
+    hits.
 
     When K < N the N x N alternant becomes a K x K one.  A(lam, mu) is the
     minor on the rows {l_i} and the columns {m_j} of the Fourier matrix
@@ -168,8 +185,23 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
     cancels against the same identity at lam = mu = empty, so c = 1/A'(empty,
     empty).  M is even, so the sign is zeta^((M/2)(|lam|+|mu|)) and joins
     e.  Either way sum |h_k| <= min(N, K)!.
+
+    The same counts give S/c = sum_k h_k zeta^k and its conjugate
+    sum_k h_k zeta^(-k), over one packed table Z of the powers of zeta read
+    at k and at -k; S conj(S) = omega I is (S/c) conj(S/c) = (omega/|c|^2)
+    I, which :func:`_is_modular` checks on these rows.  Their numerators
+    are integers of at most min(N, K)! max|Z| in absolute value (max|Z| is
+    1 at every ring with N + K <= 12), with no factor of c or of its
+    denominator, so the gate's products stay narrow.
+
+    Returns (S, rows, conj, width, scale): S as canonical scalars, each
+    read once from sum_k h_k P_k, packed in one word when min(N, K)!
+    max|P| fits 64 bits; the packed rows of S/c and of conj(S/c), in signed
+    fields of ``width`` bits, wide enough for every product of the gate;
+    and scale = 1/|c|^2.
     """
     N, K, M = ctx.N, ctx.K, ctx.M
+    deg = ctx.degree
     rho = list(range(N - 1, -1, -1))
     complement = K < N
     size, t = (K, -2 * ctx.s_exp) if complement else (N, 2 * ctx.s_exp)
@@ -182,10 +214,20 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
         return top
 
     base = indices(EMPTY)
-    c = _alternant(ctx, [t * x for x in base], base).invert()
-    powers = _PackedRows(ctx, [[CycScalar(ctx, ctx.power_sum(c.nums, 1, k),
-                                          c.den) for k in range(M)]])
-    width = (math.factorial(size) * powers.bound).bit_length() + 1
+    vandermonde = _alternant(ctx, [t * x for x in base], base)
+    c = vandermonde.invert()
+    terms = math.factorial(size)
+    powers = [ctx.power_sum(c.nums, 1, k) for k in range(M)]
+    zetas = [ctx.power_sum((1,), 1, k) for k in range(M)]
+    # an entry in any word; a product of the gate sums n deg products of
+    # two row numerators, each at most terms max|Z|
+    entry_width = _fit(terms * max(max(map(abs, v)) for v in powers), 64)
+    spread = terms * max(max(map(abs, v)) for v in zetas)
+    width = _fit(len(labels) * deg * spread ** 2, _GATE_WORD_BITS)
+    powers = [_pack(v, entry_width) for v in powers]
+    zetas = [_pack(v, width) for v in zetas]
+    # zeta^-k, the conjugate of zeta^k
+    conj_zetas = zetas[:1] + zetas[:0:-1]
 
     parts = []  # (column power, size, indices, t * indices) per label
     for lab in labels:
@@ -198,39 +240,45 @@ def _s_matrix(ctx: RingContext, labels: list) -> list:
     # zeta^(M/2) = -1 carries the complement's sign (-1)^(|lam|+|mu|)
     flip = M // 2 if complement else 0
     a2, s1 = 2 * ctx.a_exp, (N - 1) * ctx.s_exp + flip
-    s_matrix = []
+    s_matrix, rows, conj = [], [], []
     for i, size_l, top, _ in parts:
-        row = []
+        entries, row, conj_row = [], [], []
         for j, size_m, _, exps in parts:
             e = (a2 * size_l * size_m - s1 * (size_l + size_m)
                  + cross * (i * j * N + i * size_m + j * size_l)) % M
-            row.append(_packed_combination(
-                powers, _alternant_terms(ctx, exps, top, e), width))
-        s_matrix.append(row)
-    return s_matrix
+            counts = _alternant_terms(ctx, exps, top, e)
+            entries.append(_from_packed(
+                ctx, _packed_combination(powers, counts), deg, entry_width,
+                c.den))
+            row.append(_packed_combination(zetas, counts))
+            conj_row.append(_packed_combination(conj_zetas, counts))
+        s_matrix.append(entries)
+        rows.append(row)
+        conj.append(conj_row)
+    return s_matrix, rows, conj, width, vandermonde * vandermonde.conjugate()
 
 
-def _is_modular(rows: _PackedRows, conj: _PackedRows,
-                omega: CycScalar) -> bool:
-    """S conj(S) = omega I, for the packed rows of S and of conj(S).
+def _is_modular(ring: RingContext, rows: list, conj: list, width: int,
+                scale: CycScalar, omega: CycScalar) -> bool:
+    """S conj(S) = omega I, for the packed rows of X = r S and of conj(X),
+    every entry's integer numerators in signed fields of ``width`` bits,
+    wide enough for every product, and scale = |r|^2: X conj(X) = scale
+    omega I.  The build passes X = S/c and scale = 1/|c|^2
+    (:func:`_s_matrix`).
 
-    Entry (i, j) of the product is sum_k S_ik conj(S_jk), so the product is
+    Entry (i, j) of the product is sum_k X_ik conj(X_jk), so the product is
     Hermitian and its entries with i <= j decide every entry.  Each is
-    unpacked to its integer numerators, which stand over the two rows'
-    denominators, and compared with omega (i = j) or zero (i < j) without
-    forming a scalar.
+    unpacked to its integer numerators and compared with scale omega
+    (i = j) or zero (i < j) without forming a scalar.
     """
-    ring = rows.ring
-    width = _dot_width(rows, conj)
-    px, py = rows.at(width), conj.at(width)
     terms = 2 * ring.degree - 1
     zero = (0,) * ring.degree
-    for i, (xrow, dx) in enumerate(zip(px, rows.dens)):
-        diag = _unpack(ring, sum(map(mul, xrow, py[i])), terms, width)
-        scale = dx * conj.dens[i]
-        if any(x * omega.den != y * scale for x, y in zip(diag, omega.nums)):
+    target = scale * omega
+    for i, xrow in enumerate(rows):
+        diag = _unpack(ring, sum(map(mul, xrow, conj[i])), terms, width)
+        if any(x * target.den != y for x, y in zip(diag, target.nums)):
             return False
-        for yrow in py[i + 1:]:
+        for yrow in conj[i + 1:]:
             if _unpack(ring, sum(map(mul, xrow, yrow)), terms, width) != zero:
                 return False
     return True
@@ -273,12 +321,10 @@ class ModularData:
     alpha: int | None = None
     beta: int | None = None
     # the label indices of each degree residue mod d (None: all labels);
-    # conj(S) packed for dot products, omega^-1 / <k> for fusion, the term
-    # table of S with the leaf elimination's state (surgery._TermTable) and
-    # tau's normalization factors by (sigma, half), all as long as this data
+    # omega^-1 / <k> for fusion, the term table of S with the leaf
+    # elimination's state (surgery._TermTable) and tau's normalization
+    # factors by (sigma, half), all as long as this data
     labels_by_residue: dict = field(init=False, repr=False, compare=False)
-    _s_conj_packed: _PackedRows = field(
-        init=False, repr=False, compare=False)
     _fusion_scale: list | None = field(
         default=None, init=False, repr=False, compare=False)
     _s_terms: object | None = field(
@@ -287,8 +333,6 @@ class ModularData:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._s_conj_packed = _PackedRows(
-            self.ctx, ([x.conjugate() for x in row] for row in self.s_matrix))
         d = self.grading_modulus
         residues = [self.degree(lab) % d for lab in self.labels]
         self.labels_by_residue = {None: tuple(range(len(self.labels)))} | {
@@ -304,6 +348,13 @@ class ModularData:
     @cached_property
     def _omega_inv(self) -> CycScalar:
         return self.omega.invert()
+
+    # conj(S) packed for the dot products of fusion, its only reader, built
+    # on first use
+    @cached_property
+    def _s_conj_packed(self) -> _PackedRows:
+        return _PackedRows(self.ctx, ([x.conjugate() for x in row]
+                                      for row in self.s_matrix))
 
     def normalization(self, sigma: int, half: int) -> CycScalar:
         """Delta_+^-sigma Omega^-half, the factor that normalizes tau,
@@ -360,7 +411,7 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     twists = [twist_coefficient(ctx, lab) for lab in labels]
     n = len(labels)
     dims = [quantum_dimension(ctx, lab) for lab in labels]
-    s_matrix = _s_matrix(ctx, labels)
+    s_matrix, rows, conj, width, scale = _s_matrix(ctx, labels)
 
     omega = ctx.zero()
     dplus = ctx.zero()
@@ -387,8 +438,7 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
     else:
         report["delta_product"] = dplus * dminus == omega
     # modularity S S-bar = omega I
-    report["modular"] = _is_modular(_PackedRows(ctx, s_matrix),
-                                    data._s_conj_packed, omega)
+    report["modular"] = _is_modular(ctx, rows, conj, width, scale, omega)
 
     # The degree-zero sub-theory is degenerate whenever gcd(N, K) > 1: the
     # labels in the spectral-flow orbit of the empty diagram have identical

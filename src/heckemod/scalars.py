@@ -14,6 +14,8 @@ boundary (:attr:`CycScalar.coeffs`, JSON) and floating point only in
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
@@ -542,17 +544,47 @@ class _PackedRows:
         return self.packed
 
 
+# signed array typecodes by word width in bits; array reads native byte order
+_WORDS = {array(code).itemsize * 8: code for code in "qlihb"}
+
+
 @lru_cache(maxsize=64)
 def _field_bias(count: int, width: int) -> int:
     """2^(width-1) in each of ``count`` fields of ``width`` bits."""
     return (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
 
 
+@lru_cache(maxsize=64)
+def _word_format(count: int, width: int) -> tuple:
+    """(bias, size, typecode) of ``count`` fields of a word width (a key of
+    ``_WORDS``) for :func:`_words`: the field bias, the byte size and the
+    array typecode of one field."""
+    return _field_bias(count, width), count * width // 8, _WORDS[width]
+
+
+def _words(biased: int, word_format: tuple) -> array:
+    """The signed fields of a packed integer at a word width, given as
+    ``biased``, the packed integer plus the field bias of ``word_format``
+    (:func:`_word_format`), in one conversion to bytes and one array read:
+    the bias makes each field a nonnegative digit, and flipping its top bit
+    back reads it as a signed word.  Exact when every field lies strictly
+    between -2^(width-1) and 2^(width-1); a top field outside raises
+    OverflowError."""
+    bias, size, typecode = word_format
+    return array(typecode, (biased ^ bias).to_bytes(size, sys.byteorder))
+
+
 def _unpack(ring: RingContext, v: int, count: int, width: int) -> tuple:
     """The power-basis numerators, reduced modulo Phi_M, of the integer
     polynomial whose coefficients are the lowest ``count`` signed fields of
     the packed integer ``v`` (count <= 2*deg - 1), exact when each field
-    lies strictly between -2^(width-1) and 2^(width-1)."""
+    lies strictly between -2^(width-1) and 2^(width-1).  At a word width
+    the fields are one word read (:func:`_words`), at any other one shift
+    and mask each."""
+    if width in _WORDS:
+        word_format = _word_format(count, width)
+        return _reduce_phi(ring, list(_words(v + word_format[0],
+                                             word_format)))
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     # adding half to every field makes each one a nonnegative digit
@@ -599,20 +631,15 @@ def _packed_dot(xs: _PackedRows, ys: _PackedRows):
                             dx * dy) for yrow, dy in zip(py, ys.dens)]
 
 
-def _packed_combination(xs: _PackedRows, weights: dict,
-                        width: int) -> CycScalar:
-    """sum_k w * x_k over the items (k, w) of ``weights``, x the first row
-    of ``xs``, exactly.
+def _packed_combination(row: list, weights: dict) -> int:
+    """sum_k w * row[k] over the items (k, w) of ``weights``, for a row of
+    packed integers (:func:`_pack`), as one packed integer.
 
-    Each field of the summed packed integer is at most
-    sum |w| * xs.bound in absolute value, so the result is exact when
-    ``width`` is at least the bit length of that bound plus one; the sum of
-    reduced vectors is reduced, so it is unpacked once over the row's
-    denominator.
+    Each field of the sum is at most sum |w| times the largest field of the
+    row in absolute value, so it unpacks exactly at any width above the bit
+    length of that bound; a sum of reduced vectors is reduced.
     """
-    row = xs.at(width)[0]
-    v = sum(w * row[k] for k, w in weights.items() if w)
-    return _from_packed(xs.ring, v, xs.ring.degree, width, xs.dens[0])
+    return sum(map(mul, weights.values(), map(row.__getitem__, weights)))
 
 
 # ---------------------------------------------------------------------------

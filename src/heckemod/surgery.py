@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
 from dataclasses import dataclass, field
 from operator import mul
 
 from .diagrams import ReducedLabel, YoungDiagram, twist_exponent
 from .moddata import ModularData
-from .scalars import (CycScalar, ExtScalar, ScalarError, _canonical,
-                      _common_den, _field_bias, _nonzero_terms, _pack,
-                      _schoolbook, _unpack)
+from .scalars import (_WORDS, CycScalar, ExtScalar, ScalarError, _canonical,
+                      _common_den, _nonzero_terms, _pack, _schoolbook,
+                      _unpack, _word_format, _words)
 
 __all__ = [
     "PlumbingGraph",
@@ -467,8 +465,6 @@ def _rotated(ctx, vecs, rotations) -> list:
             for v, r in zip(vecs, rotations)]
 
 
-# signed array typecodes by word width in bits; array reads native byte order
-_WORDS = {array(code).itemsize * 8: code for code in "qlihb"}
 # the word widths of a packed map, and the most bits of one of its columns
 _MAP_WIDTHS = tuple(w for w in (8, 16, 32, 64) if w in _WORDS)
 _MAP_COLUMN_BITS = 8192
@@ -582,13 +578,12 @@ def _packed_map(ctx, matrix_terms, targets, width: int) -> tuple:
     that the slice [r, r + deg) holds the columns zeta^(k + r) for k < deg
     for every rotation r < M.
 
-    Returns (rows, bias, size, typecode) for ``_map_messages``: the field
-    bias of every field, the byte size of a sum of columns and the array
-    typecode of one field.  The coefficients of x^t in the entries (i, j)
-    of every target j pack into one multiplier c_it, one block of deg
-    fields per target, so that zeta^k x^t = zeta^(k + t) makes column
-    (i, k), k < deg, the sum over t of c_it times [zeta^(k + t)], the
-    reduced power packed into one block."""
+    Returns (rows, word format) for ``_map_messages``, the word format of
+    a sum of columns (``scalars._word_format``).  The coefficients of x^t
+    in the entries (i, j) of every target j pack into one multiplier c_it,
+    one block of deg fields per target, so that zeta^k x^t = zeta^(k + t)
+    makes column (i, k), k < deg, the sum over t of c_it times
+    [zeta^(k + t)], the reduced power packed into one block."""
     deg, M = ctx.degree, ctx.M
     block = deg * width
     # coeffs[i * deg + t]: the coefficient s of x^t of every target's
@@ -612,9 +607,7 @@ def _packed_map(ctx, matrix_terms, targets, width: int) -> tuple:
         columns += [sum([c * columns[u] for u, c in terms])
                     for terms in higher]
         rows.append(columns + columns[:deg - 1])
-    count = len(targets) * deg
-    return rows, _field_bias(count, width), count * width // 8, \
-        _WORDS[width]
+    return rows, _word_format(len(targets) * deg, width)
 
 
 def _map_messages(packed, vecs, labels, rotations, deg: int) -> list:
@@ -623,15 +616,15 @@ def _map_messages(packed, vecs, labels, rotations, deg: int) -> list:
 
     Label i with rotation r reads the deg columns [r, r + deg) of its row,
     and the sum of the columns read times the vectors carries every
-    message, already reduced.  The bias makes each field a nonnegative
-    digit, and flipping its top bit back reads it as a signed word, so one
-    conversion to bytes and one array read give every numerator."""
-    rows, bias, size, typecode = packed
+    message, already reduced, so one word read (``scalars._words``) gives
+    every numerator."""
+    rows, word_format = packed
     picked = []
     for i, r in zip(labels, rotations):
         picked += rows[i][r:r + deg]
-    total = sum(map(mul, itertools.chain.from_iterable(vecs), picked), bias)
-    words = array(typecode, (total ^ bias).to_bytes(size, sys.byteorder))
+    # the sum starts at the field bias, as _words reads it
+    words = _words(sum(map(mul, itertools.chain.from_iterable(vecs), picked),
+                       word_format[0]), word_format)
     return list(zip(*[iter(words)] * deg))
 
 

@@ -15,8 +15,6 @@ import random
 import time
 from functools import lru_cache
 
-import pytest
-
 from heckemod.diagrams import (
     YoungDiagram,
     enumerate_sector,

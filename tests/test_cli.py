@@ -325,16 +325,15 @@ def test_verification_failure_exit(capsys):
 
 
 def test_failed_construction_identity_is_fatal(monkeypatch, tmp_path, capsys):
-    # one wrong entry of S in the modularity check of the build (S_00 + 1):
-    # a computation error for every theory except psu at gcd(N, K) > 1,
+    # one wrong entry of S in the modularity check of the build (S_00 + c,
+    # read by the gate as S_00/c + 1, which its field width holds): a
+    # computation error for every theory except psu at gcd(N, K) > 1,
     # where a failed modularity check is reported (exit 3) rather than raised
     is_modular = moddata._is_modular
 
-    def spoiled(rows, conj, omega):
-        row = rows.nums[0]
-        row[0] = (row[0][0] + rows.dens[0],) + row[0][1:]
-        rows.bound = max(rows.bound, abs(row[0][0]))
-        return is_modular(rows, conj, omega)
+    def spoiled(ring, rows, conj, width, scale, omega):
+        rows[0][0] += 1
+        return is_modular(ring, rows, conj, width, scale, omega)
 
     monkeypatch.setattr(moddata, "_is_modular", spoiled)
     for N, K, theory in [(3, 3, "su"), (3, 3, "reduced"), (2, 3, "psu")]:

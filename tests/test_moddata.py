@@ -15,32 +15,37 @@ from heckemod.diagrams import (
     YoungDiagram,
     enumerate_sector,
     orbit_representatives,
-    quantum_dimension,
     star_involution,
 )
 from heckemod.moddata import (
+    _GATE_WORD_BITS,
     THEORIES,
-    ModularData,
     _alternant,
     _alternant_terms,
+    _fit,
     _is_modular,
+    _s_matrix,
     _signed_permutations,
     build_modular_data,
     fusion_coefficients,
     fusion_from_lr,
     is_spin_rank_level,
     littlewood_richardson,
-    omega_closed_form,
     s_matrix_column,
     s_matrix_entry,
     verlinde_dimension,
 )
 from heckemod.scalars import (
+    _WORDS,
     CycScalar,
     ScalarError,
+    _common_den,
+    _from_packed,
+    _pack,
     _packed_combination,
     _packed_dot,
     _PackedRows,
+    _unpack,
     solve_framing_reduced,
     su_parameters,
 )
@@ -214,6 +219,47 @@ def test_fusion_matches_lr(N, K):
                     (lam, mu, nu)
 
 
+@pytest.mark.parametrize("N,K", [(3, 3), (2, 4), (4, 2)])
+def test_fusion_is_symmetric(N, K):
+    # verify computes one Verlinde sum per unordered pair of labels
+    data = build_modular_data(N, K, "su")
+    for i, lam in enumerate(data.labels):
+        for mu in data.labels[i + 1:]:
+            assert fusion_coefficients(data, lam, mu) == \
+                fusion_coefficients(data, mu, lam), (lam, mu)
+
+
+@pytest.mark.parametrize("N,K,theory", [
+    (2, 3, "su"), (3, 3, "su"), (2, 4, "su"), (4, 2, "su"), (3, 2, "su"),
+    (3, 3, "reduced"), (2, 6, "reduced"), (2, 3, "psu")])
+def test_frobenius_schur_indicators(N, K, theory):
+    # nu_2(k) = sum_ij N_ij^k d_i d_j (theta_i / theta_j)^2 / sum_i d_i^2,
+    # exactly: each is -1, 0 or 1, and 0 exactly when k is not self-dual
+    data = build_modular_data(N, K, theory)
+    labels = data.labels
+    unit = labels[data.unit_index]
+    # d_i theta_i^2, so a term is N_ij^k x_i conj(x_j); d_i is real
+    xs = [d * t * t for d, t in zip(data.dims, data.twists)]
+    totals = {k: data.ctx.zero() for k in labels}
+    self_dual = set()
+    for lam, x in zip(labels, xs):
+        for mu, y in zip(labels, xs):
+            out = fusion_coefficients(data, lam, mu)
+            if lam == mu and out.get(unit):
+                self_dual.add(lam)
+            term = x * y.conjugate()
+            for nu, count in out.items():
+                totals[nu] = totals[nu] + count * term
+    indicators = {}
+    for k, total in totals.items():
+        nu = next((v for v in (-1, 0, 1) if total == v * data.omega), None)
+        assert nu is not None, (k, total)
+        assert (nu != 0) == (k in self_dual), k
+        indicators[k] = nu
+    if (N, K, theory) == (2, 3, "su"):
+        assert -1 in indicators.values()
+
+
 @pytest.mark.parametrize("N,K", SU_GRID)
 def test_verlinde(N, K):
     data = build_modular_data(N, K, "su")
@@ -378,15 +424,26 @@ def test_complement_s_matches_entry_oracle(N, K, theory):
     _assert_s_matches_entries(build_modular_data(N, K, theory))
 
 
-def _packed_s_and_conj(ctx, S):
-    return (_PackedRows(ctx, S),
-            _PackedRows(ctx, ([x.conjugate() for x in row] for row in S)))
+def _packed_s_and_conj(ctx, S, conj=None):
+    """The arguments of _is_modular but omega for S and conj(S) (or the
+    rows ``conj`` in its place): both over one denominator D, so the gate
+    reads X = D S against scale D^2, packed at the build's width rule."""
+    if conj is None:
+        conj = [[x.conjugate() for x in row] for row in S]
+    n = len(S)
+    vecs, den = _common_den([x for row in S + conj for x in row])
+    largest = max(abs(x) for v in vecs for x in v)
+    width = _fit(n * ctx.degree * largest ** 2, _GATE_WORD_BITS)
+    packed = [_pack(v, width) for v in vecs]
+    rows = [packed[i:i + n] for i in range(0, 2 * n * n, n)]
+    return ctx, rows[:n], rows[n:], width, ctx.from_rational(den * den)
 
 
 def _modular_in_full(ctx, S, omega):
     """S conj(S) = omega I, checked on all n^2 entries as scalars."""
     zero = ctx.zero()
-    rows = _packed_dot(*_packed_s_and_conj(ctx, S))
+    rows = _packed_dot(_PackedRows(ctx, S), _PackedRows(
+        ctx, ([x.conjugate() for x in row] for row in S)))
     return all(x == (omega if i == j else zero)
                for i, row in enumerate(rows) for j, x in enumerate(row))
 
@@ -434,8 +491,39 @@ def test_modularity_on_half_sees_every_entry(N, K, theory):
             product = list(_packed_dot(_PackedRows(ctx, S),
                                        _PackedRows(ctx, moved)))
             assert product[i][j] == (omega if i == j else 0) + delta
-            assert _is_modular(_PackedRows(ctx, S), _PackedRows(ctx, moved),
+            assert _is_modular(*_packed_s_and_conj(ctx, S, moved),
                                omega) is False, (i, j)
+
+
+@pytest.mark.parametrize("N,K,theory,c_kind", [
+    # c = 1/A(empty, empty) is complex at (2,3) and (2,6), imaginary at
+    # (3,3); K < N at (4,2), (5,3) and (7,2); su(5,3) packs its gate rows
+    # at an exact width past the word widths, the others in words
+    (2, 3, "su", "complex"), (2, 6, "su", "complex"), (3, 3, "su", "imag"),
+    (3, 3, "reduced", "imag"), (2, 6, "reduced", "complex"),
+    (2, 3, "psu", "complex"), (4, 2, "su", "real"),
+    (5, 3, "reduced", "imag"), (7, 2, "psu", "imag"), (5, 3, "su", "imag")])
+def test_packed_conj_rows_are_the_entrywise_conjugates(N, K, theory, c_kind):
+    # the gate's rows of S/c and of conj(S/c), both packed from the counts:
+    # each conj entry is the packed conjugate of its entry, c times an
+    # entry is the canonical entry of S, and the gate's scale is 1/|c|^2
+    data = build_modular_data(N, K, theory)
+    ctx, S, deg = data.ctx, data.s_matrix, data.ctx.degree
+    S_built, rows, conj, width, scale = _s_matrix(ctx, data.labels)
+    assert [[(x.nums, x.den) for x in row] for row in S_built] == \
+        [[(x.nums, x.den) for x in row] for row in S]
+    assert (width in _WORDS) is ((N, K, theory) != (5, 3, "su"))
+    u = data.unit_index
+    c = S[u][u] * CycScalar(ctx, _unpack(ctx, rows[u][u], deg, width)).invert()
+    assert {"real": c == c.conjugate(), "imag": c == -c.conjugate(),
+            "complex": c not in (c.conjugate(), -c.conjugate())}[c_kind]
+    assert c * c.conjugate() * scale == 1
+    for i, (row, conj_row) in enumerate(zip(rows, conj)):
+        for j, (x, y) in enumerate(zip(row, conj_row)):
+            nums = _unpack(ctx, x, deg, width)
+            assert _pack(nums, width) == x
+            assert y == _pack(ctx.power_sum(nums, -1), width), (i, j)
+            assert c * CycScalar(ctx, nums) == S[i][j], (i, j)
 
 
 def _normalizer(ctx):
@@ -475,8 +563,14 @@ def test_packed_combination_at_its_width_bound(ctx):
     def check(nums, den, terms, raw):
         c = ctx.from_coeffs([Fraction(x, den) for x in nums])
         scaled = [c * ctx.zeta(k) for k in range(M)]
-        powers = _PackedRows(ctx, [scaled])
-        width = (terms * powers.bound).bit_length() + 1
+        vecs, common = _common_den(scaled)
+        bound = max(abs(x) for v in vecs for x in v)
+        width = (terms * bound).bit_length() + 1
+
+        def combination(weights, width):
+            row = [_pack(v, width) for v in vecs]
+            return _from_packed(ctx, _packed_combination(row, weights), deg,
+                                width, common)
         # any weights with sum |w| <= terms, on the powers they name; a
         # weight of 0 stays in, as a count that cancelled
         weights, budget = {}, terms
@@ -488,17 +582,17 @@ def test_packed_combination_at_its_width_bound(ctx):
         want = ctx.zero()
         for k, w in weights.items():
             want = want + w * scaled[k]
-        got = _packed_combination(powers, weights, width)
+        got = combination(weights, width)
         assert (got.nums, got.den) == (want.nums, want.den)
         # every weight on one power whose numerator reaches the bound: that
         # field of the sum is exactly terms * bound
-        k, i = next((k, i) for k, vec in enumerate(powers.nums[0])
-                    for i, x in enumerate(vec) if abs(x) == powers.bound)
-        weights = {k: terms if powers.nums[0][k][i] > 0 else -terms}
+        k, i = next((k, i) for k, vec in enumerate(vecs)
+                    for i, x in enumerate(vec) if abs(x) == bound)
+        weights = {k: terms if vecs[k][i] > 0 else -terms}
         want = weights[k] * scaled[k]
-        got = _packed_combination(powers, weights, width)
+        got = combination(weights, width)
         assert (got.nums, got.den) == (want.nums, want.den)
-        assert _packed_combination(powers, weights, width - 1) != want
+        assert combination(weights, width - 1) != want
 
     check()
 

@@ -8,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod.scalars import (
+    _WORDS,
     ExtScalar,
     ScalarError,
+    _field_bias,
+    _pack,
     _packed_dot,
     _PackedRows,
+    _reduce_phi,
+    _unpack,
+    _word_format,
+    _words,
     cyclotomic_polynomial,
     reduced_framing_split,
     scalar_to_json,
@@ -511,5 +518,41 @@ def test_packed_dot_matches_plain_sum(deg):
                      _plain_dot(ctx, xs, ys))
         _assert_same(list(_packed_dot(_PackedRows(ctx, ones), packed)),
                      _plain_dot(ctx, ones, ys))
+
+    check()
+
+
+def _fields_one_by_one(v, count, width):
+    """The lowest count signed fields of v, one shift and mask each."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    v += _field_bias(count, width)
+    return [(v >> t & mask) - half for t in range(0, count * width, width)]
+
+
+@pytest.mark.parametrize("width", sorted(_WORDS))
+def test_word_read_matches_field_read(width):
+    # the one-conversion word read against the shift-and-mask read, on
+    # fields at the edges of the signed width (32 and 64 bits among them);
+    # a top field one past the edge does not fit the bytes and raises
+    top = (1 << (width - 1)) - 1
+    field = st.one_of(st.sampled_from([top, -top, top - 1, -top + 1, 0, 1,
+                                       -1]),
+                      st.integers(-top, top))
+    ctx = su_parameters(3, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(field, min_size=1, max_size=2 * ctx.degree - 1),
+           st.sampled_from([top + 1, -top - 2]))
+    def check(values, past):
+        count = len(values)
+        v = _pack(values, width)
+        word_format = _word_format(count, width)
+        words = _words(v + word_format[0], word_format)
+        assert list(words) == _fields_one_by_one(v, count, width) == values
+        # _unpack takes the word read at a word width
+        assert _unpack(ctx, v, count, width) == _reduce_phi(ctx, values)
+        with pytest.raises(OverflowError):
+            _words(_pack(values[:-1] + [past], width) + word_format[0],
+                   word_format)
 
     check()
