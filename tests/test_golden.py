@@ -18,7 +18,10 @@ powers up to 2 and 1) before the S-matrix build moved to alternant
 histograms against one packed normalizer, and three commands at a
 precision other than the default (an S-matrix, refined ``ExtScalar``
 values, a braid closure) before the output moved from ``json.dumps`` to
-a memoized per-document writer, so any change to
+a memoized per-document writer, and ``verify 4 4`` / ``5 4`` (fusion over
+35 and 70 labels) and ``verify 3 3`` / ``4 3 --depth full`` (the
+Littlewood-Richardson comparison above rank-level (2, 2)) before fusion
+moved from the Verlinde sum to integer Pieri matrices, so any change to
 exact values, to the canonical ``num``/``den`` form, to a gate result or to
 the printed approximations shows here.
 """
@@ -74,6 +77,10 @@ COMMANDS = (
         "--refined", "coho", "--all-structures", "--precision", "30"],
        ["homfly", "3", "3", "--strands", "4", "--braid", "1,2,3,-1,2,-3,1",
         "--precision", "25"]]
+    + [["verify", "4", "4", "--depth", "quick"],
+       ["verify", "3", "3", "--depth", "full"],
+       ["verify", "4", "3", "--depth", "full"],
+       ["verify", "5", "4", "--depth", "quick"]]
 )
 
 
