@@ -383,8 +383,8 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
 
     try:
         ok_fusion = True
-        # the weights S_lk S_mk / (omega <k>) commute, so (mu, lam) gives
-        # the same values as (lam, mu): one Verlinde sum per unordered pair
+        # fusion is commutative, so (mu, lam) gives the same values as
+        # (lam, mu): one lookup per unordered pair
         for i, lam in enumerate(su.labels):
             for mu in su.labels[i:]:
                 out = fusion_coefficients(su, lam, mu)

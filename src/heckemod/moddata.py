@@ -32,9 +32,7 @@ from .scalars import (
     ScalarError,
     _from_packed,
     _pack,
-    _PackedRows,
     _packed_combination,
-    _packed_dot,
     _unpack,
     solve_framing_reduced,
     su_parameters,
@@ -321,12 +319,10 @@ class ModularData:
     alpha: int | None = None
     beta: int | None = None
     # the label indices of each degree residue mod d (None: all labels);
-    # omega^-1 / <k> for fusion, the term table of S with the leaf
-    # elimination's state (surgery._TermTable) and tau's normalization
-    # factors by (sigma, half), all as long as this data
+    # the term table of S with the leaf elimination's state
+    # (surgery._TermTable) and tau's normalization factors by (sigma, half),
+    # both as long as this data
     labels_by_residue: dict = field(init=False, repr=False, compare=False)
-    _fusion_scale: list | None = field(
-        default=None, init=False, repr=False, compare=False)
     _s_terms: object | None = field(
         default=None, init=False, repr=False, compare=False)
     _normalizers: dict = field(
@@ -339,8 +335,8 @@ class ModularData:
             r: tuple(i for i, x in enumerate(residues) if x == r)
             for r in range(d)}
 
-    # Delta_+^-1 and Omega^-1 for the normalization of tau and for fusion,
-    # inverted on first use
+    # Delta_+^-1 and Omega^-1 for the normalization of tau, inverted on
+    # first use
     @cached_property
     def _delta_plus_inv(self) -> CycScalar:
         return self.delta_plus.invert()
@@ -349,12 +345,10 @@ class ModularData:
     def _omega_inv(self) -> CycScalar:
         return self.omega.invert()
 
-    # conj(S) packed for the dot products of fusion, its only reader, built
-    # on first use
+    # the fusion matrices of su data, checked against S on first use
     @cached_property
-    def _s_conj_packed(self) -> _PackedRows:
-        return _PackedRows(self.ctx, ([x.conjugate() for x in row]
-                                      for row in self.s_matrix))
+    def _fusion(self) -> list:
+        return _fusion_matrices(self)
 
     def normalization(self, sigma: int, half: int) -> CycScalar:
         """Delta_+^-sigma Omega^-half, the factor that normalizes tau,
@@ -457,28 +451,100 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
 # fusion
 # ---------------------------------------------------------------------------
 
-def fusion_coefficients(data: ModularData, lam: YoungDiagram, mu: YoungDiagram) -> dict:
-    """Fusion rules by diagonalizing with the S-matrix; exact nonnegative
-    integers or an error."""
-    if data._fusion_scale is None:
-        data._fusion_scale = [data._omega_inv * d_.invert() for d_ in data.dims]
-    s_l = data.s_matrix[data.index(lam)]
-    s_m = data.s_matrix[data.index(mu)]
-    # S_lk S_mk / (omega <k>), shared by every nu
-    weights = [x * y * z for x, y, z in zip(s_l, s_m, data._fusion_scale)]
-    values, = _packed_dot(_PackedRows(data.ctx, [weights]),
-                          data._s_conj_packed)
-    out = {}
-    for i_n, val in enumerate(values):
-        if val.is_zero():
+def _pieri_rows(labels: list, index: dict, N: int, K: int) -> list:
+    """P_j for each 0 < j < N (index 0 is unused), as sparse rows: row nu
+    lists the indices of the labels mu such that mu/nu is a vertical j-strip
+    with at most N rows, with its full N-columns stripped, and mu_1 - mu_N
+    <= K.  This is the Pieri rule truncated at level K: fusion with the
+    fundamental label (1^j), a minuscule weight, has no alcove reflections
+    to cancel (Kac-Walton).  ``index`` maps each label to its index."""
+    pieri = [None]
+    for j in range(1, N):
+        rows = []
+        for nu in labels:
+            row = []
+            for strip in itertools.combinations(range(N), j):
+                mu = [nu.row(i) + (i in strip) for i in range(N)]
+                if all(mu[i] >= mu[i + 1] for i in range(N - 1)) \
+                        and mu[0] - mu[-1] <= K:
+                    row.append(index[YoungDiagram.of(
+                        *(r - mu[-1] for r in mu))])
+            rows.append(row)
+        pieri.append(rows)
+    return pieri
+
+
+def _fusion_matrices(data: ModularData) -> list:
+    """N_lam as integer matrices N_lam[mu][nu], for every label lam of su
+    data, by label index.
+
+    Each Pieri matrix P_j is checked against S: for every label nu and
+    column k, S_{(1^j),k} S_{nu,k} = S_{0,k} sum_mu P_j[nu,mu] S_{mu,k}.  S
+    is invertible (the ``modular`` gate), so P_j = N_(1^j).  Then, in
+    (size, rows) order, N_lam = N_nu P_j - sum_{mu != lam} P_j[nu,mu] N_mu,
+    where nu is lam with its first column removed and j is lam's row count:
+    every mu != lam of that sum misses a cell of the strip in a row above
+    the j-th, so it is lexicographically smaller than lam or, stripped of
+    a full N-column, smaller in size, and its matrix is already built.  The
+    recursion writes each character S_{lam,k}/S_{0,k} as an integer
+    polynomial in those of the (1^j), so N_lam = S diag(S_{lam,k}/S_{0,k})
+    S^-1, the Verlinde formula.  A failed check or a negative entry raises
+    ScalarError.
+    """
+    N, labels, S = data.N, data.labels, data.s_matrix
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    pieri = _pieri_rows(labels, index, N, data.K)
+    unit = S[data.unit_index]
+    zero = data.ctx.zero()
+    for j in range(1, N):
+        fundamental = S[index[YoungDiagram((1,) * j)]]
+        for nu, row in enumerate(pieri[j]):
+            for k, x in enumerate(fundamental):
+                total = sum((S[mu][k] for mu in row), zero)
+                if x * S[nu][k] != unit[k] * total:
+                    raise ScalarError(
+                        f"Pieri rule for (1^{j}) against S fails at "
+                        f"{labels[nu]}, column {labels[k]}")
+
+    matrices = [None] * n
+    matrices[data.unit_index] = [[int(a == b) for b in range(n)]
+                                 for a in range(n)]
+    for lam in sorted(labels, key=lambda x: (x.size, x.rows)):
+        if lam == EMPTY:
             continue
-        if not val.is_rational():
-            raise ScalarError(f"non-rational fusion coefficient for {data.labels[i_n]}")
-        q = val.rational_value()
-        if q.denominator != 1 or q < 0:
-            raise ScalarError(f"fusion coefficient {q} is not a nonnegative integer")
-        out[data.labels[i_n]] = int(q)
-    return out
+        nu = index[YoungDiagram.of(*(r - 1 for r in lam.rows))]
+        pieri_j = pieri[lam.num_rows]
+        out = []
+        for base_row in matrices[nu]:
+            acc = [0] * n
+            for b, count in enumerate(base_row):
+                if count:
+                    for mu in pieri_j[b]:
+                        acc[mu] += count
+            out.append(acc)
+        i = index[lam]
+        for mu in pieri_j[nu]:
+            if mu != i:
+                for acc, other in zip(out, matrices[mu]):
+                    for c, count in enumerate(other):
+                        acc[c] -= count
+        if min(map(min, out)) < 0:
+            raise ScalarError(f"negative fusion coefficient for {lam}")
+        matrices[i] = out
+    return matrices
+
+
+def fusion_coefficients(data: ModularData, lam: YoungDiagram, mu: YoungDiagram) -> dict:
+    """{nu: N_{lam,mu}^nu} over the nu with a nonzero coefficient, for su
+    data, from the Pieri-rule fusion matrices (:func:`_fusion_matrices`).
+    Raises ScalarError on other data, where the Verlinde sum need not be a
+    fusion rule, or when the matrices fail their check against S."""
+    if data.theory != "su":
+        raise ScalarError(
+            f"fusion is computed for su data only, not {data.theory}")
+    row = data._fusion[data.index(lam)][data.index(mu)]
+    return {nu: count for nu, count in zip(data.labels, row) if count}
 
 
 def littlewood_richardson(lam: YoungDiagram, mu: YoungDiagram, nu: YoungDiagram) -> int:

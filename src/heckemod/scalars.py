@@ -484,8 +484,8 @@ class CycScalar:
 
 
 # ---------------------------------------------------------------------------
-# the packed-integer format, and dot products of scalar rows by Kronecker
-# substitution
+# the packed-integer format: integer vectors as the coefficients of one
+# integer polynomial at 2^width
 # ---------------------------------------------------------------------------
 
 def _common_den(xs) -> tuple[list, int]:
@@ -505,43 +505,6 @@ def _pack(vec, width: int) -> int:
     for c in reversed(vec):
         acc = (acc << width) + c
     return acc
-
-
-class _PackedRows:
-    """Rows of scalars of one field, each row put over one common
-    denominator, ready for :func:`_packed_dot`.
-
-    Each entry packs into one integer (:func:`_pack`).  The packing is
-    kept, so rows that take part in many dot products (conj(S) in fusion)
-    are repacked only when a product needs a wider field.
-    """
-
-    __slots__ = ("ring", "nums", "dens", "length", "bound", "width",
-                 "packed", "__weakref__")
-
-    def __init__(self, ring: RingContext, rows: Iterable):
-        self.ring = ring
-        self.nums = []
-        self.dens = []
-        self.length = 0
-        bound = 0
-        for row in rows:
-            vecs, den = _common_den(row)
-            for v in vecs:
-                bound = max(bound, max(v), -min(v))
-            self.nums.append(vecs)
-            self.dens.append(den)
-            self.length = max(self.length, len(vecs))
-        self.bound = bound
-        self.width = 0
-        self.packed = None
-
-    def at(self, width: int) -> list:
-        """The packed rows at the given width."""
-        if width != self.width:
-            self.packed = [[_pack(v, width) for v in row] for row in self.nums]
-            self.width = width
-        return self.packed
 
 
 # signed array typecodes by word width in bits; array reads native byte order
@@ -597,38 +560,6 @@ def _from_packed(ring: RingContext, v: int, count: int, width: int,
                  den: int) -> CycScalar:
     """The scalar ``_unpack(ring, v, count, width)`` / ``den``."""
     return _canonical(ring, _unpack(ring, v, count, width), den)
-
-
-def _dot_width(xs: _PackedRows, ys: _PackedRows) -> int:
-    """The field width at which a sum of products of an entry of ``xs`` and
-    an entry of ``ys`` unpacks exactly.
-
-    A coefficient of the unreduced sum polynomial is a sum of at most
-    length * deg products of numerators, so it is at most
-    bound = length * deg * max|x| * max|y| in absolute value and fits in a
-    signed field of bit_length(bound) + 1 bits.  A packing already made at
-    a wider width is reused.
-    """
-    bound = max(xs.length, ys.length) * xs.ring.degree * xs.bound * ys.bound
-    return max(bound.bit_length() + 1, xs.width, ys.width)
-
-
-def _packed_dot(xs: _PackedRows, ys: _PackedRows):
-    """Yield [sum_k x_ik * y_jk for each row j of ys] for each row i of xs,
-    exactly.
-
-    Each term is one product of packed integers at :func:`_dot_width`.  The
-    summed integer is unpacked once, reduced modulo Phi_M once and put over
-    the two rows' denominators.
-    """
-    ring = xs.ring
-    deg = ring.degree
-    width = _dot_width(xs, ys)
-    px, py = xs.at(width), ys.at(width)
-    terms = 2 * deg - 1
-    for xrow, dx in zip(px, xs.dens):
-        yield [_from_packed(ring, sum(map(mul, xrow, yrow)), terms, width,
-                            dx * dy) for yrow, dy in zip(py, ys.dens)]
 
 
 def _packed_combination(row: list, weights: dict) -> int:

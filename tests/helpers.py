@@ -1,7 +1,8 @@
 """Constructions that only the tests use: central idempotents, Young
 quasi-idempotents, the quantum hook product and the tensor embeddings of
 Hecke elements, the general-v form of the quantum dimension, the hook
-length of one cell, and a scalar read back from its JSON form."""
+length of one cell, a scalar read back from its JSON form, the products of
+scalar rows by a plain loop, and fusion by the plain Verlinde sum."""
 
 from fractions import Fraction
 
@@ -112,3 +113,36 @@ def scalar_from_json(doc: dict, ring: RingContext) -> CycScalar:
         raise ScalarError("root order mismatch while parsing a scalar")
     coeffs = [Fraction(n, d) for n, d in zip(doc["num"], doc["den"])]
     return ring.from_coeffs(coeffs)
+
+
+def plain_dot(xs, ys) -> list:
+    """[sum_k x_ik y_jk for each row j of ys] for each row i of xs, as a
+    plain loop of scalar products."""
+    zero = xs[0][0].ring.zero()
+    out = []
+    for xrow in xs:
+        orow = []
+        for yrow in ys:
+            acc = zero
+            for x, y in zip(xrow, yrow):
+                acc = acc + x * y
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def verlinde_fusion(data, lam, mu) -> dict:
+    """{nu: sum_k S_lam,k S_mu,k conj(S_nu,k) / (omega <k>)} over the nu
+    where the Verlinde sum is nonzero, each value a Fraction; ScalarError
+    when one is not rational.  Off su data the sum need not be a fusion
+    rule: it can be negative."""
+    S, zero = data.s_matrix, data.ctx.zero()
+    scale = [(data.omega * d).invert() for d in data.dims]
+    weights = [x * y * z for x, y, z in
+               zip(S[data.index(lam)], S[data.index(mu)], scale)]
+    out = {}
+    for nu, row in zip(data.labels, S):
+        val = sum((w * x.conjugate() for w, x in zip(weights, row)), zero)
+        if not val.is_zero():
+            out[nu] = val.rational_value()
+    return out

@@ -1,7 +1,7 @@
-import gc
 import math
+import operator
 import random
-import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -43,12 +43,12 @@ from heckemod.scalars import (
     _from_packed,
     _pack,
     _packed_combination,
-    _packed_dot,
-    _PackedRows,
     _unpack,
     solve_framing_reduced,
     su_parameters,
 )
+
+from helpers import plain_dot, verlinde_fusion
 
 SU_GRID = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
 
@@ -229,13 +229,91 @@ def test_fusion_is_symmetric(N, K):
                 fusion_coefficients(data, mu, lam), (lam, mu)
 
 
+@pytest.mark.parametrize("N,K", [(2, 3), (3, 3), (2, 4), (4, 2), (3, 4)])
+def test_fusion_matches_verlinde_oracle(N, K):
+    # the Pieri matrices against the plain Verlinde sum, on ordered pairs
+    data = build_modular_data(N, K, "su")
+    for lam in data.labels:
+        for mu in data.labels:
+            assert fusion_coefficients(data, lam, mu) == \
+                verlinde_fusion(data, lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("N,K", [(2, 3), (3, 3), (4, 2), (3, 4), (4, 4)])
+def test_fusion_matrices_give_verlinde_dimensions(N, K):
+    # dim V_g = Tr(H^(g-1)) for the handle matrix H = sum_lam N_lam N_lam^T
+    data = build_modular_data(N, K, "su")
+    labels = data.labels
+    n = len(labels)
+    handle = [[0] * n for _ in range(n)]
+    for lam in labels:
+        fusion = [[fusion_coefficients(data, lam, mu).get(nu, 0)
+                   for nu in labels] for mu in labels]
+        for a, x in enumerate(fusion):
+            for b, y in enumerate(fusion):
+                handle[a][b] += sum(map(operator.mul, x, y))
+    power = [[int(a == b) for b in range(n)] for a in range(n)]
+    for g in (1, 2, 3):
+        trace = sum(power[a][a] for a in range(n))
+        assert verlinde_dimension(data, g) == data.ctx.from_rational(trace), g
+        power = [[sum(map(operator.mul, row, col)) for col in zip(*handle)]
+                 for row in power]
+
+
+@pytest.mark.parametrize("N,K", [(3, 3), (4, 3), (2, 9)])
+def test_fusion_check_sees_a_spoiled_s(N, K):
+    data = build_modular_data(N, K, "su")
+    ctx, S, omega = data.ctx, data.s_matrix, data.omega
+    n = len(S)
+    rng = random.Random(N * 100 + K)
+    for _ in range(3):
+        # one symmetric pair of entries times zeta
+        i, j = rng.sample([(i, j) for i in range(n) for j in range(i + 1, n)
+                           if not S[i][j].is_zero()], 1)[0]
+        spoiled = [list(row) for row in S]
+        spoiled[i][j] = spoiled[j][i] = S[i][j] * ctx.zeta(1)
+        with pytest.raises(ScalarError):
+            fusion_coefficients(replace(data, s_matrix=spoiled), EMPTY, EMPTY)
+        # one row and its column negated: S stays symmetric with
+        # S conj(S) = omega I, so the modularity gate cannot see it
+        i = rng.randrange(1, n)
+        sign = [-1 if k == i else 1 for k in range(n)]
+        spoiled = [[x * sign[a] * sign[b] for b, x in enumerate(row)]
+                   for a, row in enumerate(S)]
+        assert all(spoiled[a][b] == spoiled[b][a]
+                   for a in range(n) for b in range(a))
+        assert _modular_in_full(ctx, spoiled, omega)
+        assert spoiled[data.unit_index] != data.dims
+        with pytest.raises(ScalarError):
+            fusion_coefficients(replace(data, s_matrix=spoiled), EMPTY, EMPTY)
+
+
+@pytest.mark.parametrize("theory", ["psu", "reduced"])
+def test_fusion_is_for_su_data_only(theory):
+    data = build_modular_data(3, 3, theory)
+    unit = data.labels[data.unit_index]
+    with pytest.raises(ScalarError, match=theory):
+        fusion_coefficients(data, unit, unit)
+
+
+def test_verlinde_sum_off_su_is_not_a_fusion_rule():
+    # at reduced (2, 3) the Verlinde sum gives (0,[1]) (0,[1]) =
+    # (0,[]) - (0,[1]): a negative coefficient
+    data = build_modular_data(2, 3, "reduced")
+    one = ReducedLabel(0, YoungDiagram.of(1))
+    assert verlinde_fusion(data, one, one) == {
+        ReducedLabel(0, EMPTY): 1, one: -1}
+
+
 @pytest.mark.parametrize("N,K,theory", [
     (2, 3, "su"), (3, 3, "su"), (2, 4, "su"), (4, 2, "su"), (3, 2, "su"),
     (3, 3, "reduced"), (2, 6, "reduced"), (2, 3, "psu")])
 def test_frobenius_schur_indicators(N, K, theory):
     # nu_2(k) = sum_ij N_ij^k d_i d_j (theta_i / theta_j)^2 / sum_i d_i^2,
-    # exactly: each is -1, 0 or 1, and 0 exactly when k is not self-dual
+    # exactly: each is -1, 0 or 1, and 0 exactly when k is not self-dual;
+    # fusion off su data is the Verlinde sum of the oracle
     data = build_modular_data(N, K, theory)
+    fuse = fusion_coefficients if theory == "su" else verlinde_fusion
     labels = data.labels
     unit = labels[data.unit_index]
     # d_i theta_i^2, so a term is N_ij^k x_i conj(x_j); d_i is real
@@ -244,7 +322,7 @@ def test_frobenius_schur_indicators(N, K, theory):
     self_dual = set()
     for lam, x in zip(labels, xs):
         for mu, y in zip(labels, xs):
-            out = fusion_coefficients(data, lam, mu)
+            out = fuse(data, lam, mu)
             if lam == mu and out.get(unit):
                 self_dual.add(lam)
             term = x * y.conjugate()
@@ -323,7 +401,8 @@ def test_packed_modularity_matches_triple_loop(N, K, theory, modular):
     data = build_modular_data(N, K, theory)
     ctx, S = data.ctx, data.s_matrix
     n = len(S)
-    got = list(_packed_dot(_PackedRows(ctx, S), data._s_conj_packed))
+    got = plain_dot(S, [[x.conjugate() for x in row] for row in S])
+    is_omega_identity = True
     for i in range(n):
         for j in range(n):
             acc = ctx.zero()
@@ -331,7 +410,8 @@ def test_packed_modularity_matches_triple_loop(N, K, theory, modular):
                 acc = acc + S[i][k] * S[j][k].conjugate()
             assert got[i][j] == acc, (i, j)
             assert (got[i][j].nums, got[i][j].den) == (acc.nums, acc.den)
-    assert data.report["modular"] is modular
+            is_omega_identity &= acc == (data.omega if i == j else 0)
+    assert data.report["modular"] is modular is is_omega_identity
 
 
 def _alternant_by_permutations(ctx, exponents, powers):
@@ -369,18 +449,6 @@ def test_alternant_histogram_matches_permutation_sum(ctx):
                 got = got + count * ctx.zeta(k)
             want = ctx.zeta(shift) * want
             assert (got.nums, got.den) == (want.nums, want.den), size
-
-
-def test_packed_conj_s_dies_with_its_data():
-    data = build_modular_data(2, 3, "su")
-    one = YoungDiagram.of(1)
-    assert fusion_coefficients(data, one, one)
-    packed = data._s_conj_packed
-    assert packed.width > 0
-    ref = weakref.ref(packed)
-    del data, packed
-    gc.collect()
-    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +510,7 @@ def _packed_s_and_conj(ctx, S, conj=None):
 def _modular_in_full(ctx, S, omega):
     """S conj(S) = omega I, checked on all n^2 entries as scalars."""
     zero = ctx.zero()
-    rows = _packed_dot(_PackedRows(ctx, S), _PackedRows(
-        ctx, ([x.conjugate() for x in row] for row in S)))
+    rows = plain_dot(S, [[x.conjugate() for x in row] for row in S])
     return all(x == (omega if i == j else zero)
                for i, row in enumerate(rows) for j, x in enumerate(row))
 
@@ -488,8 +555,7 @@ def test_modularity_on_half_sees_every_entry(N, K, theory):
             if i != j:
                 moved[i] = [y + x * delta.conjugate() * inv
                             for x, y in zip(conj[j], moved[i])]
-            product = list(_packed_dot(_PackedRows(ctx, S),
-                                       _PackedRows(ctx, moved)))
+            product = plain_dot(S, moved)
             assert product[i][j] == (omega if i == j else 0) + delta
             assert _is_modular(*_packed_s_and_conj(ctx, S, moved),
                                omega) is False, (i, j)
@@ -642,9 +708,7 @@ REPRESENTATION_CASES = (
 
 def _matmul(ctx, X, Y):
     """X Y, as dot products of the rows of X with the columns of Y."""
-    columns = [list(col) for col in zip(*Y)]
-    return [list(row) for row in
-            _packed_dot(_PackedRows(ctx, X), _PackedRows(ctx, columns))]
+    return plain_dot(X, [list(col) for col in zip(*Y)])
 
 
 def _dual_index(data) -> list:

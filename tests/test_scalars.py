@@ -13,8 +13,6 @@ from heckemod.scalars import (
     ScalarError,
     _field_bias,
     _pack,
-    _packed_dot,
-    _PackedRows,
     _reduce_phi,
     _unpack,
     _word_format,
@@ -437,90 +435,8 @@ def test_canonical_form_and_json_round_trip(deg):
 
 
 # ---------------------------------------------------------------------------
-# the packed dot product against the plain sum of products
+# the packed-integer format: the word read against the field read
 # ---------------------------------------------------------------------------
-
-_large = st.integers(min_value=-2**70, max_value=2**70)
-
-
-@st.composite
-def _dot_entry(draw, deg):
-    ctx = ORACLE_RINGS[deg]
-    kind = draw(st.sampled_from(["zero", "small", "large", "constant"]))
-    if kind == "zero":
-        return ctx.zero()
-    if kind == "small":
-        return ctx.from_coeffs(draw(st.lists(_coefficient, min_size=deg,
-                                             max_size=deg)))
-    den = draw(st.integers(min_value=1, max_value=10**6))
-    if kind == "large":
-        return ctx.from_coeffs([Fraction(c, den) for c in draw(
-            st.lists(_large, min_size=deg, max_size=deg))])
-    # every coefficient equal: the unreduced sum of products of a matrix of
-    # such entries reaches the width bound exactly
-    c = draw(_large.filter(bool))
-    return ctx.from_coeffs([Fraction(c, den)] * deg)
-
-
-@st.composite
-def _dot_operands(draw, deg):
-    """Two matrices of scalars whose rows have one common length."""
-    n = draw(st.integers(min_value=1, max_value=4))
-
-    def matrix():
-        rows = draw(st.integers(min_value=1, max_value=3))
-        if draw(st.booleans()):
-            x = draw(_dot_entry(deg))
-            return [[x] * n for _ in range(rows)]
-        return [[draw(_dot_entry(deg)) for _ in range(n)]
-                for _ in range(rows)]
-
-    return matrix(), matrix()
-
-
-def _plain_dot(ctx, xs, ys):
-    out = []
-    for xrow in xs:
-        orow = []
-        for yrow in ys:
-            acc = ctx.zero()
-            for x, y in zip(xrow, yrow):
-                acc = acc + x * y
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
-def _assert_same(got, want):
-    assert len(got) == len(want)
-    for grow, wrow in zip(got, want):
-        assert len(grow) == len(wrow)
-        for g, w in zip(grow, wrow):
-            _assert_canonical(g)
-            assert (g.nums, g.den) == (w.nums, w.den)
-
-
-@pytest.mark.parametrize("deg", sorted(ORACLE_RINGS))
-def test_packed_dot_matches_plain_sum(deg):
-    ctx = ORACLE_RINGS[deg]
-
-    @settings(max_examples=60, deadline=None)
-    @given(_dot_operands(deg))
-    def check(operands):
-        xs, ys = operands
-        ones = [[ctx.one()] * len(xs[0])]
-        packed = _PackedRows(ctx, ys)
-        # the narrow packing of ys, then a repack at a wider width, then the
-        # wider packing reused for a narrower product
-        _assert_same(list(_packed_dot(_PackedRows(ctx, ones), packed)),
-                     _plain_dot(ctx, ones, ys))
-        _assert_same(list(_packed_dot(_PackedRows(ctx, xs), packed)),
-                     _plain_dot(ctx, xs, ys))
-        _assert_same(list(_packed_dot(_PackedRows(ctx, ones), packed)),
-                     _plain_dot(ctx, ones, ys))
-
-    check()
-
 
 def _fields_one_by_one(v, count, width):
     """The lowest count signed fields of v, one shift and mask each."""
