@@ -706,7 +706,7 @@ REPRESENTATION_CASES = (
     + [(N, K, "psu") for N, K in REPRESENTATION_GRID if math.gcd(N, K) == 1])
 
 
-def _matmul(ctx, X, Y):
+def _matmul(X, Y):
     """X Y, as dot products of the rows of X with the columns of Y."""
     return plain_dot(X, [list(col) for col in zip(*Y)])
 
@@ -723,9 +723,8 @@ def _dual_index(data) -> list:
 
 
 def _s_twisted_cubed(data, twists):
-    ctx = data.ctx
     st = [[x * t for x, t in zip(row, twists)] for row in data.s_matrix]
-    return _matmul(ctx, _matmul(ctx, st, st), st)
+    return _matmul(_matmul(st, st), st)
 
 
 @pytest.mark.parametrize("N,K,theory", REPRESENTATION_CASES)
@@ -733,7 +732,7 @@ def test_s_squared_is_omega_times_charge_conjugation(N, K, theory):
     data = build_modular_data(N, K, theory)
     dual = _dual_index(data)
     zero = data.ctx.zero()
-    for i, row in enumerate(_matmul(data.ctx, data.s_matrix, data.s_matrix)):
+    for i, row in enumerate(_matmul(data.s_matrix, data.s_matrix)):
         for j, x in enumerate(row):
             assert x == (data.omega if j == dual[i] else zero), (i, j)
 
@@ -743,7 +742,7 @@ def test_s_t_inverse_cubed_is_delta_minus_s_squared(N, K, theory):
     data = build_modular_data(N, K, theory)
     # a twist is a root of unity: T^-1 = diag(conj(theta))
     cube = _s_twisted_cubed(data, [t.conjugate() for t in data.twists])
-    s2 = _matmul(data.ctx, data.s_matrix, data.s_matrix)
+    s2 = _matmul(data.s_matrix, data.s_matrix)
     assert cube == [[data.delta_minus * x for x in row] for row in s2]
 
 
@@ -752,7 +751,7 @@ def test_s_t_cubed_is_not_delta_plus_s_squared(N, K):
     # the convention check: with T = diag(theta) itself the relation
     # (S T)^3 = Delta_+ S^2 fails, so T enters the representation inverted
     data = build_modular_data(N, K, "su")
-    s2 = _matmul(data.ctx, data.s_matrix, data.s_matrix)
+    s2 = _matmul(data.s_matrix, data.s_matrix)
     assert _s_twisted_cubed(data, data.twists) != \
         [[data.delta_plus * x for x in row] for row in s2]
 
