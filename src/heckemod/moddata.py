@@ -483,9 +483,9 @@ def _fusion_matrices(data: ModularData) -> list:
     is invertible (the ``modular`` gate), so P_j = N_(1^j).  Then, in
     (size, rows) order, N_lam = N_nu P_j - sum_{mu != lam} P_j[nu,mu] N_mu,
     where nu is lam with its first column removed and j is lam's row count:
-    every mu != lam of that sum misses a cell of the strip in a row above
-    the j-th, so it is lexicographically smaller than lam or, stripped of
-    a full N-column, smaller in size, and its matrix is already built.  The
+    every mu != lam of that sum adds no cell to one of the first j rows, so
+    it is lexicographically smaller than lam or, stripped of a full
+    N-column, smaller in size, and its matrix is already built.  The
     recursion writes each character S_{lam,k}/S_{0,k} as an integer
     polynomial in those of the (1^j), so N_lam = S diag(S_{lam,k}/S_{0,k})
     S^-1, the Verlinde formula.  A failed check or a negative entry raises
