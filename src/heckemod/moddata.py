@@ -23,7 +23,7 @@ from .diagrams import (
     enumerate_sector,
     orbit_representatives,
     quantum_dimension,
-    twist_coefficient,
+    twist_exponent,
 )
 from .scalars import (
     _WORDS,
@@ -192,11 +192,19 @@ def _s_matrix(ctx: RingContext, labels: list) -> tuple:
     1 at every ring with N + K <= 12), with no factor of c or of its
     denominator, so the gate's products stay narrow.
 
-    Returns (S, rows, conj, width, scale): S as canonical scalars, each
-    read once from sum_k h_k P_k, packed in one word when min(N, K)!
-    max|P| fits 64 bits; the packed rows of S/c and of conj(S/c), in signed
-    fields of ``width`` bits, wide enough for every product of the gate;
-    and scale = 1/|c|^2.
+    S is symmetric (det A = det A^T, and e is symmetric in lam and mu), so
+    each unordered pair is read once: the entry and both packed words of
+    (lam, mu), lam <= mu in label order, serve (mu, lam) too.  Below the
+    diagonal only the counts are taken, shift included, and compared with
+    those of the mirrored pair; an entry is a function of its counts, so
+    equal counts mean equal entries.
+
+    Returns (S, rows, conj, width, scale, symmetric): S as canonical
+    scalars, each read once from sum_k h_k P_k, packed in one word when
+    min(N, K)! max|P| fits 64 bits; the packed rows of S/c and of
+    conj(S/c), in signed fields of ``width`` bits, wide enough for every
+    product of the gate; scale = 1/|c|^2; and whether the counts of every
+    pair below the diagonal equal those of its mirror.
     """
     N, K, M = ctx.N, ctx.K, ctx.M
     deg = ctx.degree
@@ -238,22 +246,31 @@ def _s_matrix(ctx: RingContext, labels: list) -> tuple:
     # zeta^(M/2) = -1 carries the complement's sign (-1)^(|lam|+|mu|)
     flip = M // 2 if complement else 0
     a2, s1 = 2 * ctx.a_exp, (N - 1) * ctx.s_exp + flip
-    s_matrix, rows, conj = [], [], []
-    for i, size_l, top, _ in parts:
-        entries, row, conj_row = [], [], []
-        for j, size_m, _, exps in parts:
-            e = (a2 * size_l * size_m - s1 * (size_l + size_m)
-                 + cross * (i * j * N + i * size_m + j * size_l)) % M
-            counts = _alternant_terms(ctx, exps, top, e)
-            entries.append(_from_packed(
-                ctx, _packed_combination(powers, counts), deg, entry_width,
-                c.den))
-            row.append(_packed_combination(zetas, counts))
-            conj_row.append(_packed_combination(conj_zetas, counts))
-        s_matrix.append(entries)
-        rows.append(row)
-        conj.append(conj_row)
-    return s_matrix, rows, conj, width, vandermonde * vandermonde.conjugate()
+
+    def counts(a, b):
+        """The alternant's exponent counts of the entry at (a, b)."""
+        i, size_l, top, _ = parts[a]
+        j, size_m, _, exps = parts[b]
+        e = (a2 * size_l * size_m - s1 * (size_l + size_m)
+             + cross * (i * j * N + i * size_m + j * size_l)) % M
+        return _alternant_terms(ctx, exps, top, e)
+
+    n = len(labels)
+    s_matrix = [[None] * n for _ in range(n)]
+    rows = [[None] * n for _ in range(n)]
+    conj = [[None] * n for _ in range(n)]
+    symmetric = True
+    for a in range(n):
+        for b in range(a, n):
+            h = counts(a, b)
+            if b > a:
+                symmetric &= counts(b, a) == h
+            s_matrix[a][b] = s_matrix[b][a] = _from_packed(
+                ctx, _packed_combination(powers, h), deg, entry_width, c.den)
+            rows[a][b] = rows[b][a] = _packed_combination(zetas, h)
+            conj[a][b] = conj[b][a] = _packed_combination(conj_zetas, h)
+    scale = vandermonde * vandermonde.conjugate()
+    return s_matrix, rows, conj, width, scale, symmetric
 
 
 def _is_modular(ring: RingContext, rows: list, conj: list, width: int,
@@ -402,25 +419,27 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
         labels = enumerate_sector(N, K, "strict" if theory == "su" else "zero")
         closed_factor = N if theory == "su" else 1
 
-    twists = [twist_coefficient(ctx, lab) for lab in labels]
+    twist_exps = [twist_exponent(ctx, lab) for lab in labels]
+    twists = [ctx.zeta(k) for k in twist_exps]
     n = len(labels)
     dims = [quantum_dimension(ctx, lab) for lab in labels]
-    s_matrix, rows, conj, width, scale = _s_matrix(ctx, labels)
+    s_matrix, rows, conj, width, scale, symmetric = _s_matrix(ctx, labels)
 
     omega = ctx.zero()
     dplus = ctx.zero()
     dminus = ctx.zero()
-    for d_, t_ in zip(dims, twists):
+    for d_, k in zip(dims, twist_exps):
         sq = d_ * d_
         omega = omega + sq
-        dplus = dplus + t_ * sq
-        # a twist is a root of unity, so its inverse is its conjugate
-        dminus = dminus + t_.conjugate() * sq
+        # theta = zeta^k and its inverse zeta^-k rotate the numerators of
+        # d^2, which keeps them canonical
+        dplus = dplus + CycScalar(ctx, ctx.power_sum(sq.nums, 1, k), sq.den)
+        dminus = dminus + CycScalar(ctx, ctx.power_sum(sq.nums, 1, -k),
+                                    sq.den)
 
     spin = is_spin_rank_level(N, K) and theory in ("psu", "reduced")
     report = {}
-    report["s_symmetric"] = all(
-        s_matrix[i][j] == s_matrix[j][i] for i in range(n) for j in range(i + 1, n))
+    report["s_symmetric"] = symmetric
     data = ModularData(theory, N, K, ctx, labels, dims, twists, s_matrix,
                        omega, dplus, dminus, spin, report, alpha, beta)
     unit = data.unit_index
@@ -623,14 +642,17 @@ def verlinde_dimension(data: ModularData, g: int) -> CycScalar:
 
     if data.theory == "su":
         front = ctx.from_rational(Fraction((N + K) ** (N - 1) * N)) ** (g - 1)
+        # -1/(s^d - s^-d)^2 for each difference 0 < d < N + K of two
+        # exponents, inverted once per d
+        factor = [None] + [-((ctx.s(d) - ctx.s(-d)) ** 2).invert()
+                           for d in range(1, N + K)]
         total = ctx.zero()
         for ls in itertools.combinations(range(1, N + K), N - 1):
             seq = sorted(ls, reverse=True) + [0]
             prod = ctx.one()
             for i in range(N):
                 for j in range(i + 1, N):
-                    diff = seq[j] - seq[i]
-                    prod = prod * (-1) * ((ctx.s(diff) - ctx.s(-diff)) ** 2).invert()
+                    prod = prod * factor[seq[i] - seq[j]]
             total = total + prod ** (g - 1)
         if front * total != spectral:
             raise ScalarError("Verlinde sum and spectral form disagree")

@@ -383,14 +383,22 @@ class CycScalar:
         return self._operand(other) - self
 
     def __pow__(self, n: int) -> "CycScalar":
+        """Repeated squaring from the lowest set bit of n, with no product by
+        one and no square past the highest: x ** 1 is x itself."""
         if n < 0:
             return self.invert() ** (-n)
-        result = self.ring.one()
+        if n == 0:
+            return self.ring.one()
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

@@ -575,7 +575,8 @@ def test_packed_conj_rows_are_the_entrywise_conjugates(N, K, theory, c_kind):
     # entry is the canonical entry of S, and the gate's scale is 1/|c|^2
     data = build_modular_data(N, K, theory)
     ctx, S, deg = data.ctx, data.s_matrix, data.ctx.degree
-    S_built, rows, conj, width, scale = _s_matrix(ctx, data.labels)
+    S_built, rows, conj, width, scale, symmetric = _s_matrix(ctx, data.labels)
+    assert symmetric
     assert [[(x.nums, x.den) for x in row] for row in S_built] == \
         [[(x.nums, x.den) for x in row] for row in S]
     assert (width in _WORDS) is ((N, K, theory) != (5, 3, "su"))
@@ -590,6 +591,63 @@ def test_packed_conj_rows_are_the_entrywise_conjugates(N, K, theory, c_kind):
             assert _pack(nums, width) == x
             assert y == _pack(ctx.power_sum(nums, -1), width), (i, j)
             assert c * CycScalar(ctx, nums) == S[i][j], (i, j)
+
+
+def _count_calls_below_diagonal(monkeypatch, ctx, spoil=None):
+    """Wrap the alternant counts of the S build and return how many calls
+    take the counts of a pair below the diagonal: a call whose transposed
+    arguments, shift included, an earlier call took (its mirror, above the
+    diagonal).  The call numbered ``spoil`` among them gets its shift plus
+    one."""
+    M = ctx.M
+    t = (-2 if ctx.K < ctx.N else 2) * ctx.s_exp
+    pending = {}  # the keys of calls above the diagonal not yet mirrored
+    lower = 0
+
+    def wrapped(ring, exponents, powers, shift=0):
+        nonlocal lower
+        # t * x mod M is one-to-one on the indices x < N + K
+        key = (tuple(e % M for e in exponents),
+               tuple(t * p % M for p in powers), shift % M)
+        mirror = (key[1], key[0], key[2])
+        if mirror != key:
+            if pending.get(mirror):
+                pending[mirror] -= 1
+                if lower == spoil:
+                    shift += 1
+                lower += 1
+            else:
+                pending[key] = pending.get(key, 0) + 1
+        return _alternant_terms(ring, exponents, powers, shift)
+
+    monkeypatch.setattr("heckemod.moddata._alternant_terms", wrapped)
+    return lambda: lower
+
+
+@pytest.mark.parametrize("N,K,theory", [
+    (3, 3, "su"), (4, 2, "su"), (3, 3, "reduced")])
+def test_symmetry_gate_sees_one_count_below_the_diagonal(
+        N, K, theory, monkeypatch):
+    # below the diagonal the build takes only the counts, so a wrong shift
+    # there changes no entry and is seen by s_symmetric alone; (4, 2)
+    # takes the K x K alternants of the complements
+    data = build_modular_data(N, K, theory)
+    ctx, n = data.ctx, len(data.labels)
+    lower = _count_calls_below_diagonal(monkeypatch, ctx)
+    build_modular_data(N, K, theory)
+    total = lower()
+    # reduced labels that share a diagram share their alternant's
+    # arguments, so only su data mirrors every pair this way
+    assert 0 < total <= n * (n - 1) // 2
+    if theory == "su":
+        assert total == n * (n - 1) // 2
+    rng = random.Random(N * 100 + K)
+    for spoil in rng.sample(range(total), 3):
+        lower = _count_calls_below_diagonal(monkeypatch, ctx, spoil)
+        with pytest.raises(ScalarError) as err:
+            build_modular_data(N, K, theory)
+        assert str(err.value).endswith("['s_symmetric']"), spoil
+        assert lower() == total
 
 
 def _normalizer(ctx):

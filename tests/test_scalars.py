@@ -196,6 +196,34 @@ def test_pow_negative(ctx22):
     assert x ** (-2) == (x * x).invert()
 
 
+@pytest.mark.parametrize("ctx", [
+    su_parameters(2, 2), su_parameters(3, 3), solve_framing_reduced(2, 6)[2]],
+    ids=["su22", "su33", "reduced26"])
+def test_pow_matches_repeated_products(ctx):
+    rng = random.Random(ctx.M)
+    for _ in range(3):
+        x = ctx.from_coeffs([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                             for _ in range(ctx.degree)])
+        assert not x.is_zero()
+        for n in range(-3, 9):
+            base = x.invert() if n < 0 else x
+            want = ctx.one()
+            for _ in range(abs(n)):
+                want = want * base
+            got = x ** n
+            assert (got.nums, got.den) == (want.nums, want.den), n
+
+
+def test_pow_of_zero():
+    for ctx in (su_parameters(2, 2), su_parameters(3, 3),
+                solve_framing_reduced(2, 6)[2]):
+        zero = ctx.zero()
+        assert zero ** 0 == ctx.one()
+        assert (zero ** 3).is_zero()
+        with pytest.raises(ScalarError):
+            zero ** -1
+
+
 def test_ext_scalar_zero_hash_agrees_with_eq(ctx22):
     omega = ctx22.from_rational(4)
     zero0 = ExtScalar(ctx22.zero(), 0, "su", omega)
