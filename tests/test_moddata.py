@@ -716,7 +716,14 @@ def test_packed_combination_at_its_width_bound(ctx):
         want = weights[k] * scaled[k]
         got = combination(weights, width)
         assert (got.nums, got.den) == (want.nums, want.den)
-        assert combination(weights, width - 1) != want
+        # one bit narrower the field no longer holds the sum: it reads
+        # another value, or, when width - 1 is a word width, the top field
+        # cannot be read at all (scalars._words raises OverflowError)
+        try:
+            narrow = combination(weights, width - 1)
+        except OverflowError:
+            narrow = None
+        assert narrow != want
 
     check()
 
