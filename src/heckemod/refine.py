@@ -4,12 +4,12 @@ The reduced invariant decomposes over mod-d spin structures (spin rank-level,
 d even) or mod-d cohomology classes (otherwise).  Both structure sets are the
 solutions of a linear characteristic equation on the linking matrix, solved
 exactly by forest leaf elimination.  The abelian Gauss-sum invariant at the
-root of unity zeta and the factorization
+root of unity zeta is evaluated in the complex embedding, as its parts live
+in different formal eta extensions; the factorization
 
     tau_su = tau_u1 * tau_reduced
 
-are evaluated in the complex embedding because the two sides live in
-different formal eta extensions.
+is decided exactly on the brackets, where the normalizations cancel.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .moddata import ModularData
 from .scalars import MIN_PRECISION, CycScalar, ExtScalar, ScalarError
 from .surgery import (PlumbingGraph, PlumbingVertex, _eliminate,
                       _normalized, _signature, _sparse_columns,
-                      colored_bracket, single_vertex, tau)
+                      colored_bracket, single_vertex)
 
 __all__ = [
     "SpinStructureSet",
@@ -272,20 +272,31 @@ def u1_invariant(g: PlumbingGraph, su_data: ModularData,
 
 def reduction_check(g: PlumbingGraph, N: int, K: int, su_data: ModularData,
                     red_data: ModularData) -> dict:
-    """Compare tau_su(M) with tau_u1(M, zeta) * tau_reduced(M) numerically,
-    on the su and reduced data built at (N, K)."""
+    """Decide tau_su = tau_u1 * tau_reduced exactly on the data built at
+    (N, K), for a closed manifold (G pins link vertices to label 0).
+    Each tau_T is n_T(<L>_T), n_T(x) = Delta_+^-sigma Omega^-half eta^rem x
+    with the same sigma and m in both theories, and tau_u1 = n_su(G) /
+    n_reduced(1) for the abelian Gauss sum G.  So the reduced normalization
+    cancels, n_su is a nonzero factor of both sides, and the formula holds
+    exactly when <L>_su = G <L>_reduced in the su ring, which takes the
+    reduced one by zeta_red -> zeta^(M / M_red).  The difference returned
+    is zero exactly when ok."""
+    if su_data.theory != "su" or red_data.theory != "reduced":
+        raise ScalarError("reduction_check needs su and reduced data, got "
+                          f"{su_data.theory} and {red_data.theory}")
     if {(su_data.N, su_data.K), (red_data.N, red_data.K)} != {(N, K)}:
         raise ScalarError(f"reduction_check needs the data built at ({N}, {K})")
-    lhs = tau(g, su_data).value.embed()
-    u1 = u1_invariant(g, su_data, red_data)
-    reduced = tau(g, red_data).value.embed()
-    rhs = u1 * reduced
-    diff = abs(lhs - rhs)
-    return {
-        "su": lhs,
-        "u1": u1,
-        "reduced": reduced,
-        "product": rhs,
-        "difference": diff,
-        "ok": diff < mpmath.mpf("1e-9"),
-    }
+    ctx = su_data.ctx
+    step, rest = divmod(ctx.M, red_data.ctx.M)
+    if rest:
+        raise ScalarError(f"the reduced root order {red_data.ctx.M} does not "
+                          f"divide the su one {ctx.M}")
+    links = [v.id for v in g.vertices if v.is_link]
+    if links:
+        raise ScalarError(f"reduction_check needs a closed manifold; vertex "
+                          f"{links[0]!r} is a link component")
+    red = colored_bracket(g, red_data)
+    red = CycScalar(ctx, ctx.power_sum(red.nums, step), red.den)
+    diff = colored_bracket(g, su_data) \
+        - _abelian_gauss_sum(g, su_data, red_data) * red
+    return {"ok": diff.is_zero(), "difference": diff}

@@ -366,8 +366,7 @@ def test_criterion_10_reduction_formula():
             rep = reduction_check(g, N, K, su_data=su, red_data=red)
             if not rep["ok"]:
                 failures.append(
-                    f"reduction at {(N, K)}: |difference| = "
-                    f"{rep['difference']}")
+                    f"reduction at {(N, K)}: difference {rep['difference']}")
     for N, K in GRID:
         su = data(N, K, "su")
         red = data(N, K, "reduced")

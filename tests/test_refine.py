@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
+from heckemod.cli import MANIFEST_NAMES, manifest_graph
 from heckemod.moddata import build_modular_data
 from heckemod.refine import (
     _abelian_gauss_sum,
@@ -26,6 +28,8 @@ from heckemod.scalars import ExtScalar, ScalarError
 from heckemod.surgery import (
     PlumbingGraph,
     PlumbingVertex,
+    _normalized,
+    _signature,
     chain,
     colored_bracket,
     disjoint_union,
@@ -484,27 +488,84 @@ def test_walked_gauss_sum_matches_explicit_sum(NK):
         explicit_gauss_sum([[1]], zeta, n_prime, su.ctx)
 
 
-TREE5 = {
-    "vertices": [{"id": "a", "framing": -1}, {"id": "b", "framing": -2},
-                 {"id": "c", "framing": -3}, {"id": "d", "framing": 0},
-                 {"id": "e", "framing": 2}],
-    "edges": [["a", "b"], ["a", "c"], ["a", "d"], ["d", "e"]],
-}
+# rank-levels that also check seeded link-free forests of up to 40 vertices
+REDUCTION_FORESTS = ((2, 3), (3, 3), (2, 6))
+# lens spaces whose |tau| is large enough that an absolute tolerance of 1e-9
+# on the embedded factorization read them as failures
+REDUCTION_CHAINS = {(3, 4): chain([3] * 35), (4, 3): chain([3] * 37)}
 
 
-def reduction_graphs():
-    from heckemod.surgery import parse_plumbing
-    return [single_vertex(0), single_vertex(1), chain([-2, -2]),
-            chain([0, 0]), parse_plumbing(TREE5)]
-
-
-@pytest.mark.parametrize("NK", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("NK", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4),
+                                (2, 6), (3, 4), (4, 3)])
 def test_reduction_formula(NK):
     su = build_modular_data(*NK, "su")
     red = build_modular_data(*NK, "reduced")
-    for g in reduction_graphs():
+    graphs = list(map(manifest_graph, MANIFEST_NAMES))
+    if NK in REDUCTION_FORESTS:
+        rng = random.Random(sum(NK))
+        graphs += [random_forest(rng, 40) for _ in range(10)]
+    if NK in REDUCTION_CHAINS:
+        graphs.append(REDUCTION_CHAINS[NK])
+    for g in graphs:
         rep = reduction_check(g, *NK, su_data=su, red_data=red)
-        assert rep["ok"], (NK, rep)
+        assert rep["ok"] and rep["difference"].is_zero(), (NK, g, rep)
+
+
+def embedded_reduction_gap(g, su, red):
+    """|tau_su - tau_u1 tau_reduced| at 60 digits, the factorization as the
+    paper states it: tau_u1 = n_su(G) / n_reduced(1), the abelian Gauss sum
+    G under the su normalization over 1 under the reduced one, and every
+    factor embedded on its own."""
+    m, sigma = _signature(g)
+    with mpmath.workdps(75):
+        u1 = _normalized(_abelian_gauss_sum(g, su, red), sigma, m, su) \
+            .embed(60) / _normalized(red.ctx.one(), sigma, m, red).embed(60)
+        return abs(tau(g, su).value.embed(60)
+                   - u1 * tau(g, red).value.embed(60))
+
+
+def test_reduction_check_matches_embedded_factorization():
+    # the exact check on the brackets against the tau-level statement; the
+    # variant (4, 2) and the odd coprime (3, 5) give the not-ok cases
+    outcomes = set()
+    for NK in [(2, 3), (3, 2), (4, 2), (3, 5)]:
+        su = build_modular_data(*NK, "su")
+        red = build_modular_data(*NK, "reduced")
+        rng = random.Random(7 * sum(NK))
+        for _ in range(12):
+            g = random_forest(rng, 6)
+            ok = reduction_check(g, *NK, su_data=su, red_data=red)["ok"]
+            assert ok == (embedded_reduction_gap(g, su, red) < 1e-40), (NK, g)
+            outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_reduction_check_rejects_link_components():
+    # the abelian Gauss sum pins link vertices to U(1) label 0, so the
+    # factorization is a statement about closed manifolds only
+    su = build_modular_data(2, 3, "su")
+    red = build_modular_data(2, 3, "reduced")
+    colored = PlumbingVertex("w", 0, {"lambda": [1]})
+    graphs = [PlumbingGraph([colored], []),
+              PlumbingGraph([PlumbingVertex("v", 1), colored,
+                             PlumbingVertex("x", 2, {"lambda": [1]})],
+                            [("v", "w"), ("v", "x")])]
+    for g in graphs:
+        with pytest.raises(ScalarError, match="'w' is a link component"):
+            reduction_check(g, 2, 3, su_data=su, red_data=red)
+
+
+def test_reduction_check_rejects_wrong_data():
+    su = build_modular_data(2, 3, "su")
+    red = build_modular_data(2, 3, "reduced")
+    g = single_vertex(1)
+    for wrong in [(red, su), (su, build_modular_data(2, 3, "psu"))]:
+        with pytest.raises(ScalarError, match="su and reduced data"):
+            reduction_check(g, 2, 3, su_data=wrong[0], red_data=wrong[1])
+    # a reduced root order that does not divide the su one has no ring map
+    odd = SimpleNamespace(theory="reduced", N=2, K=3, ctx=SimpleNamespace(M=7))
+    with pytest.raises(ScalarError, match="does not divide"):
+        reduction_check(g, 2, 3, su_data=su, red_data=odd)
 
 
 def test_reduction_gap_both_even():
@@ -516,7 +577,7 @@ def test_reduction_gap_both_even():
     assert reduction_check(single_vertex(1), 4, 2,
                            su_data=su, red_data=red)["ok"]
     rep = reduction_check(single_vertex(-2), 4, 2, su_data=su, red_data=red)
-    assert not rep["ok"]
+    assert not rep["ok"] and not rep["difference"].is_zero()
     with pytest.raises(ScalarError, match="built at"):
         reduction_check(single_vertex(1), 2, 4, su_data=su, red_data=red)
 
@@ -538,7 +599,7 @@ def test_reduced_equals_degree_zero_when_coprime():
     psu = build_modular_data(2, 3, "psu")
     su = build_modular_data(2, 3, "su")
     red = build_modular_data(2, 3, "reduced")
-    for g in reduction_graphs():
+    for g in map(manifest_graph, MANIFEST_NAMES):
         a = tau(g, psu).value.embed()
         b = tau(g, red).value.embed()
         assert abs(a - b) < 1e-9
