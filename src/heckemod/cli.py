@@ -47,6 +47,7 @@ from .refine import (
 from .scalars import (
     MIN_PRECISION,
     ExtScalar,
+    RingContext,
     ScalarError,
     reduced_framing_split,
     scalar_to_json,
@@ -253,9 +254,8 @@ def cmd_invariant(args) -> tuple[dict, bool]:
     return doc, True
 
 
-def hecke_gates(N: int, K: int) -> dict:
-    """Small exact identity gates for the braid-algebra layer."""
-    ctx = su_parameters(N, K)
+def hecke_gates(ctx: RingContext) -> dict:
+    """Small exact identity gates for the braid-algebra layer over ``ctx``."""
     gates = {}
     sig = HeckeElement.generator(0, 2, ctx)
     one = HeckeElement.identity(2, ctx)
@@ -275,7 +275,7 @@ def hecke_gates(N: int, K: int) -> dict:
         for x, y in [(rand_elt(), rand_elt()) for _ in range(5)])
     ok_sym = True
     # the size-n symmetrizers and path idempotents exist only for n < N + K
-    sizes = range(1, min(4, N + K))
+    sizes = range(1, min(4, ctx.N + ctx.K))
     for n in sizes[1:]:
         fn = symmetrizer(n, "f", ctx)
         gn = symmetrizer(n, "g", ctx)
@@ -307,7 +307,7 @@ def _gate_doc(args, gates: dict, **extra) -> tuple[dict, bool]:
 
 
 def cmd_hecke_check(args) -> tuple[dict, bool]:
-    return _gate_doc(args, hecke_gates(args.N, args.K))
+    return _gate_doc(args, hecke_gates(su_parameters(args.N, args.K)))
 
 
 def cmd_homfly(args) -> tuple[dict, bool]:
@@ -341,7 +341,9 @@ def _is_one(value: ExtScalar) -> bool:
 
 
 def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
-    """Every identity gate applicable at (N, K); name -> pass/fail."""
+    """Every identity gate applicable at (N, K); name -> pass/fail.  A gate
+    reads the same bundled manifests at either ``depth``, which sets only
+    the genera, the random forests and the Littlewood-Richardson check."""
     full = depth == "full"
     su = build_modular_data(N, K, "su")
     red = build_modular_data(N, K, "reduced")
@@ -398,10 +400,14 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
         gates["fusion_integrality"] = False
 
     theories = [su, red] + ([psu] if d == 1 else [])
+    manifests = {}  # name -> (graph, expected values), for this call only
+    for name in MANIFEST_NAMES:
+        doc = load_manifest(name)
+        manifests[name] = parse_plumbing(doc["graph"]), doc["expected"]
 
     @functools.cache  # for this call only
     def manifest_tau(name, theory):
-        return tau(manifest_graph(name),
+        return tau(manifests[name][0],
                    {"su": su, "reduced": red, "psu": psu}[theory])
 
     gates["sphere_normalization"] = all(
@@ -432,10 +438,10 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
     gates["filter_completeness"] = total == colored_bracket(g_u1, red)
 
     kind = _structure_kind(red)
-    names = ["u0"] if not full else ["u0", "u-2", "chain_-2_-2", "chain_0_0"]
     ok_dec = ok_van = True
-    for name in names:
-        g_ = manifest_graph(name)
+    # tree5 stays out: its d^m filtered brackets are the cost
+    for name in ("u0", "u-2", "chain_-2_-2", "chain_0_0"):
+        g_ = manifests[name][0]
         res = manifest_tau(name, red.theory)
         B, _ = linking_data(g_)
         sols = characteristic_solutions(B, d, kind).solutions
@@ -455,21 +461,16 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
         for nu, val in enumerate(graded_gauss_sums(red)))
 
     if not reduced_framing_split(N, K)[2]:  # the variant normalization
-        names = ["u0", "u1"] if not full else \
-            ["s3_empty", "u0", "u1", "u-2", "chain_-2_-2", "chain_0_0",
-             "tree5"]
         gates["reduction_formula"] = all(
-            reduction_check(manifest_graph(name), N, K,
-                            su_data=su, red_data=red)["ok"]
-            for name in names)
+            reduction_check(g_, N, K, su_data=su, red_data=red)["ok"]
+            for g_, _ in manifests.values())
     g_unit = u1_gauss_unit(su, red)
     gates["abelian_gauss_modulus"] = \
         g_unit * g_unit.conjugate() == su.ctx.from_rational(n_prime)
 
     fixture_ok = True
     fixture_seen = False
-    for name in MANIFEST_NAMES:
-        exp = load_manifest(name)["expected"]
+    for name, (_, exp) in manifests.items():
         for data in (su, red):
             key = f"{data.theory}({N},{K})"
             if key not in exp["invariants"]:
@@ -483,7 +484,7 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
     if fixture_seen:
         gates["bundled_fixture_match"] = fixture_ok
 
-    gates.update(hecke_gates(N, K))
+    gates.update(hecke_gates(su.ctx))
     return gates
 
 

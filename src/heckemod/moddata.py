@@ -26,10 +26,10 @@ from .diagrams import (
     twist_exponent,
 )
 from .scalars import (
-    _WORDS,
     CycScalar,
     RingContext,
     ScalarError,
+    _fit,
     _from_packed,
     _pack,
     _packed_combination,
@@ -147,15 +147,6 @@ def s_matrix_entry(ctx: RingContext, lam, mu, column: tuple | None = None) -> Cy
     pref = ctx.zeta((2 * ctx.a_exp * lam.size * mu.size
                      - (N - 1) * ctx.s_exp * lam.size) % ctx.M)
     return pref * val * dim_mu
-
-
-def _fit(bound: int, widest: int) -> int:
-    """The width in bits of signed fields that hold every integer of
-    absolute value at most ``bound``: the smallest word width (a key of
-    ``_WORDS``) of at most ``widest`` bits that does, else the exact width,
-    the bound's bit length plus a sign bit."""
-    need = bound.bit_length() + 1
-    return min((w for w in _WORDS if need <= w <= widest), default=need)
 
 
 def _s_matrix(ctx: RingContext, labels: list) -> tuple:

@@ -519,6 +519,15 @@ def _pack(vec, width: int) -> int:
 _WORDS = {array(code).itemsize * 8: code for code in "qlihb"}
 
 
+def _fit(bound: int, widest: int) -> int:
+    """The width in bits of signed fields that hold every integer of
+    absolute value at most ``bound``: the smallest word width (a key of
+    ``_WORDS``) of at most ``widest`` bits that does, else the exact width,
+    the bound's bit length plus a sign bit."""
+    need = bound.bit_length() + 1
+    return min((w for w in _WORDS if need <= w <= widest), default=need)
+
+
 @lru_cache(maxsize=64)
 def _field_bias(count: int, width: int) -> int:
     """2^(width-1) in each of ``count`` fields of ``width`` bits."""

@@ -24,7 +24,7 @@ from operator import mul
 from .diagrams import ReducedLabel, YoungDiagram, twist_exponent
 from .moddata import ModularData
 from .scalars import (_WORDS, CycScalar, ExtScalar, ScalarError, _canonical,
-                      _common_den, _nonzero_terms, _pack, _schoolbook,
+                      _common_den, _fit, _nonzero_terms, _pack, _schoolbook,
                       _unpack, _word_format, _words)
 
 __all__ = [
@@ -465,8 +465,7 @@ def _rotated(ctx, vecs, rotations) -> list:
             for v, r in zip(vecs, rotations)]
 
 
-# the word widths of a packed map, and the most bits of one of its columns
-_MAP_WIDTHS = tuple(w for w in (8, 16, 32, 64) if w in _WORDS)
+# the most bits of one column of a packed map
 _MAP_COLUMN_BITS = 8192
 
 
@@ -521,9 +520,8 @@ def _messages(ctx, vecs, labels, rotations, targets, matrix_terms) -> list:
     largest = max(max(map(max, vecs)), -min(map(min, vecs)))
     bound = ctx.rotation_spread * len(vecs) * matrix_terms.term_bound \
         * largest
-    need = bound.bit_length() + 1
-    width = next((w for w in _MAP_WIDTHS if w >= need), None)
-    if width is not None and len(targets) * deg * width <= _MAP_COLUMN_BITS:
+    width = _fit(bound, 64)
+    if width in _WORDS and len(targets) * deg * width <= _MAP_COLUMN_BITS:
         key = targets, width
         packed = matrix_terms.maps.get(key)
         if packed is None:

@@ -16,8 +16,9 @@ from heckemod.cli import (
     load_manifest,
     main,
     manifest_graph,
+    verification_gates,
 )
-from heckemod import moddata
+from heckemod import cli, moddata
 from heckemod.hecke import MAX_STRANDS, homfly_braid_closure
 from heckemod.moddata import build_modular_data
 from heckemod.scalars import (
@@ -185,6 +186,29 @@ def test_verify_quick_passes(capsys):
         code, out = run(capsys, "verify", str(N), str(K))
         assert code == 0
         assert json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("N, K", [(3, 5), (5, 3), (3, 6), (6, 3)])
+def test_verify_reports_reduction_failure(capsys, N, K):
+    # the reduction gate reads all 7 manifests at either depth, so the
+    # quick default also sees chain_-2_-2 fail at (3,6) and (6,3)
+    code, out = run(capsys, "verify", str(N), str(K))
+    assert code == 3
+    gates = json.loads(out)["gates"]
+    assert [name for name, ok in gates.items() if not ok] \
+        == ["reduction_formula"]
+
+
+def test_verify_reads_each_manifest_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return load_manifest(name)
+
+    monkeypatch.setattr(cli, "load_manifest", counting)
+    verification_gates(2, 3)
+    assert sorted(calls) == sorted(MANIFEST_NAMES)  # 7 calls, one each
 
 
 def test_hecke_check_passes(capsys):

@@ -22,7 +22,6 @@ from heckemod.moddata import (
     THEORIES,
     _alternant,
     _alternant_terms,
-    _fit,
     _is_modular,
     _s_matrix,
     _signed_permutations,
@@ -40,6 +39,7 @@ from heckemod.scalars import (
     CycScalar,
     ScalarError,
     _common_den,
+    _fit,
     _from_packed,
     _pack,
     _packed_combination,

@@ -14,9 +14,8 @@ from heckemod.diagrams import ReducedLabel, YoungDiagram
 from heckemod.moddata import build_modular_data
 from heckemod import surgery
 from heckemod.refine import characteristic_solutions, refined_tau
-from heckemod.scalars import CycScalar, ScalarError
+from heckemod.scalars import _WORDS, CycScalar, ScalarError
 from heckemod.surgery import (
-    _MAP_WIDTHS,
     PlumbingGraph,
     PlumbingVertex,
     _eliminate,
@@ -706,7 +705,7 @@ def test_packed_map_matches_sparse_messages(NK, theory):
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(residues), st.sampled_from(residues),
-           st.sampled_from(_MAP_WIDTHS + (None,)),
+           st.sampled_from(tuple(sorted(_WORDS)) + (None,)),
            st.permutations([0, deg - 1, deg, M - 1]), st.data())
     def check(source, target, width, specials, draw):
         labels = data.labels_by_residue[source]
