@@ -21,7 +21,7 @@ import sys
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
-from .diagrams import quantum_dimension
+from .diagrams import EMPTY, quantum_dimension
 from .hecke import (
     MAX_STRANDS,
     HeckeElement,
@@ -159,10 +159,6 @@ def load_manifest(name: str) -> dict:
     path = resources.files("heckemod").joinpath("manifests", f"{name}.json")
     with path.open() as fh:
         return json.load(fh)
-
-
-def manifest_graph(name: str) -> PlumbingGraph:
-    return parse_plumbing(load_manifest(name)["graph"])
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +380,19 @@ def verification_gates(N: int, K: int, depth: str = "quick") -> dict:
         gates["verlinde_explicit_equals_spectral"] = False
 
     try:
+        # the first lookup builds every fusion matrix and checks each Pieri
+        # matrix against S, so no later lookup can fail
+        fusion_coefficients(su, EMPTY, EMPTY)
         ok_fusion = True
         # fusion is commutative, so (mu, lam) gives the same values as
-        # (lam, mu): one lookup per unordered pair
-        for i, lam in enumerate(su.labels):
-            for mu in su.labels[i:]:
+        # (lam, mu): one comparison per unordered pair, at full depth only
+        pairs = itertools.combinations_with_replacement(su.labels, 2)
+        for lam, mu in pairs if full else ():
+            if lam.size + mu.size <= K:
                 out = fusion_coefficients(su, lam, mu)
-                if full and lam.size + mu.size <= K:
-                    ok_fusion &= all(
-                        out.get(nu, 0) == fusion_from_lr(N, x, y, nu)
-                        for x, y in ((lam, mu), (mu, lam))
-                        for nu in su.labels)
+                ok_fusion &= all(
+                    out.get(nu, 0) == fusion_from_lr(N, x, y, nu)
+                    for x, y in ((lam, mu), (mu, lam)) for nu in su.labels)
         gates["fusion_integrality"] = ok_fusion
     except ScalarError:
         gates["fusion_integrality"] = False

@@ -7,11 +7,12 @@ cyclic action whose orbit representatives label the reduced theory.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import mul
+from operator import attrgetter, mul
 
 from .scalars import CycScalar, RingContext, ScalarError
 
@@ -94,19 +95,12 @@ class ReducedLabel:
 
 @lru_cache(maxsize=None)
 def _diagrams_in_box(max_rows: int, max_cols: int) -> tuple[YoungDiagram, ...]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], limit: int):
-        out.append(tuple(prefix))
-        if len(prefix) == max_rows:
-            return
-        for r in range(limit, 0, -1):
-            prefix.append(r)
-            rec(prefix, r)
-            prefix.pop()
-
-    rec([], max_cols)
-    return tuple(sorted((YoungDiagram(r) for r in out), key=lambda d: d.rows))
+    # a weakly decreasing row sequence, zeros included, is a multiset of
+    # row lengths taken largest first
+    rows = itertools.combinations_with_replacement(
+        range(max_cols, -1, -1), max_rows)
+    return tuple(sorted(itertools.starmap(YoungDiagram.of, rows),
+                        key=attrgetter("rows")))
 
 
 def enumerate_sector(N: int, K: int, sector: str, alpha: int | None = None):
@@ -241,7 +235,7 @@ def orbit_representatives(N: int, K: int, alpha: int, beta: int
                 break
             orbit.append(cur)
         if len(orbit) != order:
-            raise ValueError(
+            raise ScalarError(
                 f"orbit of {u} has size {len(orbit)}, expected {order}: "
                 "the cyclic action is not free")
         rep = min(orbit, key=key)
@@ -251,5 +245,5 @@ def orbit_representatives(N: int, K: int, alpha: int, beta: int
     reps.sort(key=key)
     expected = d * math.factorial(N + K - 1) // (math.factorial(N) * math.factorial(K))
     if len(reps) != expected:
-        raise ValueError(f"found {len(reps)} orbits, expected {expected}")
+        raise ScalarError(f"found {len(reps)} orbits, expected {expected}")
     return reps, seen

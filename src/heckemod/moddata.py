@@ -326,10 +326,11 @@ class ModularData:
     report: dict
     alpha: int | None = None
     beta: int | None = None
-    # the label indices of each degree residue mod d (None: all labels);
-    # the term table of S with the leaf elimination's state
-    # (surgery._TermTable) and tau's normalization factors by (sigma, half),
-    # both as long as this data
+    # the index of each label; the label indices of each degree residue
+    # mod d (None: all labels); the term table of S with the leaf
+    # elimination's state (surgery._TermTable) and tau's normalization
+    # factors by (sigma, half), both as long as this data
+    _index: dict = field(init=False, repr=False, compare=False)
     labels_by_residue: dict = field(init=False, repr=False, compare=False)
     _s_terms: object | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -337,6 +338,7 @@ class ModularData:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
         d = self.grading_modulus
         residues = [self.degree(lab) % d for lab in self.labels]
         self.labels_by_residue = {None: tuple(range(len(self.labels)))} | {
@@ -370,7 +372,12 @@ class ModularData:
         return scale
 
     def index(self, label) -> int:
-        return self.labels.index(label)
+        """The index of ``label``; ScalarError if it is no label here."""
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise ScalarError(f"label {label} is not in the {self.theory} "
+                              f"data at ({self.N}, {self.K})") from None
 
     @property
     def grading_modulus(self) -> int:
@@ -383,12 +390,10 @@ class ModularData:
 
     @property
     def unit_index(self) -> int:
-        for k, lab in enumerate(self.labels):
-            if self.degree(lab) == 0 and (
-                    lab == EMPTY or (isinstance(lab, ReducedLabel)
-                                     and lab.i == 0 and lab.diagram == EMPTY)):
-                return k
-        raise ScalarError("unit label missing")
+        # (0, empty) is the lexicographic minimum of the dotted labels, so
+        # it represents its orbit
+        return self.index(ReducedLabel(0, EMPTY) if self.theory == "reduced"
+                          else EMPTY)
 
 
 def is_spin_rank_level(N: int, K: int) -> bool:
@@ -461,24 +466,25 @@ def build_modular_data(N: int, K: int, theory: str) -> ModularData:
 # fusion
 # ---------------------------------------------------------------------------
 
-def _pieri_rows(labels: list, index: dict, N: int, K: int) -> list:
+def _pieri_rows(data: ModularData) -> list:
     """P_j for each 0 < j < N (index 0 is unused), as sparse rows: row nu
     lists the indices of the labels mu such that mu/nu is a vertical j-strip
     with at most N rows, with its full N-columns stripped, and mu_1 - mu_N
     <= K.  This is the Pieri rule truncated at level K: fusion with the
     fundamental label (1^j), a minuscule weight, has no alcove reflections
-    to cancel (Kac-Walton).  ``index`` maps each label to its index."""
+    to cancel (Kac-Walton)."""
+    N, K = data.N, data.K
     pieri = [None]
     for j in range(1, N):
         rows = []
-        for nu in labels:
+        for nu in data.labels:
             row = []
             for strip in itertools.combinations(range(N), j):
                 mu = [nu.row(i) + (i in strip) for i in range(N)]
                 if all(mu[i] >= mu[i + 1] for i in range(N - 1)) \
                         and mu[0] - mu[-1] <= K:
-                    row.append(index[YoungDiagram.of(
-                        *(r - mu[-1] for r in mu))])
+                    row.append(data.index(YoungDiagram.of(
+                        *(r - mu[-1] for r in mu))))
             rows.append(row)
         pieri.append(rows)
     return pieri
@@ -503,12 +509,11 @@ def _fusion_matrices(data: ModularData) -> list:
     """
     N, labels, S = data.N, data.labels, data.s_matrix
     n = len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    pieri = _pieri_rows(labels, index, N, data.K)
+    pieri = _pieri_rows(data)
     unit = S[data.unit_index]
     zero = data.ctx.zero()
     for j in range(1, N):
-        fundamental = S[index[YoungDiagram((1,) * j)]]
+        fundamental = S[data.index(YoungDiagram((1,) * j))]
         for nu, row in enumerate(pieri[j]):
             for k, x in enumerate(fundamental):
                 total = sum((S[mu][k] for mu in row), zero)
@@ -523,7 +528,7 @@ def _fusion_matrices(data: ModularData) -> list:
     for lam in sorted(labels, key=lambda x: (x.size, x.rows)):
         if lam == EMPTY:
             continue
-        nu = index[YoungDiagram.of(*(r - 1 for r in lam.rows))]
+        nu = data.index(YoungDiagram.of(*(r - 1 for r in lam.rows)))
         pieri_j = pieri[lam.num_rows]
         out = []
         for base_row in matrices[nu]:
@@ -533,7 +538,7 @@ def _fusion_matrices(data: ModularData) -> list:
                     for mu in pieri_j[b]:
                         acc[mu] += count
             out.append(acc)
-        i = index[lam]
+        i = data.index(lam)
         for mu in pieri_j[nu]:
             if mu != i:
                 for acc, other in zip(out, matrices[mu]):

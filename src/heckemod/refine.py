@@ -177,11 +177,10 @@ def refined_tau(g: PlumbingGraph, c, data: ModularData,
 
 def graded_gauss_sums(data: ModularData):
     """Vector over nu in Z/d of eta~ * sum_{deg(u) = nu} theta_u <u>^2."""
-    d = data.grading_modulus
-    parts = [data.ctx.zero() for _ in range(d)]
-    for lab, dim, tw in zip(data.labels, data.dims, data.twists):
-        nu = data.degree(lab) % d
-        parts[nu] = parts[nu] + tw * dim * dim
+    zero = data.ctx.zero()
+    parts = [sum((data.twists[i] * data.dims[i] * data.dims[i]
+                  for i in data.labels_by_residue[nu]), zero)
+             for nu in range(data.grading_modulus)]
     return [ExtScalar(p, 1, data.theory, data.omega) for p in parts]
 
 

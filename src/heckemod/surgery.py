@@ -298,7 +298,7 @@ def resolve_color(data: ModularData, spec) -> int:
     else:
         label = spec
     try:
-        return data.labels.index(label)
+        return data.index(label)
     except ValueError:
         raise ScalarError(f"unknown color label {label} for theory "
                           f"{data.theory} at ({data.N}, {data.K})") from None

@@ -15,10 +15,9 @@ from heckemod.cli import (
     canonical_json,
     load_manifest,
     main,
-    manifest_graph,
     verification_gates,
 )
-from heckemod import cli, moddata
+from heckemod import cli, diagrams, moddata
 from heckemod.hecke import MAX_STRANDS, homfly_braid_closure
 from heckemod.moddata import build_modular_data
 from heckemod.scalars import (
@@ -156,7 +155,7 @@ def test_manifest_fixtures_match():
                             "reduced(3,3)", "psu(2,3)"]}
     for name in MANIFEST_NAMES:
         exp = load_manifest(name)["expected"]
-        g = manifest_graph(name)
+        g = parse_plumbing(load_manifest(name)["graph"])
         for key, want in exp["invariants"].items():
             res = tau(g, datasets[key])
             assert res.signature == exp["signature"]
@@ -376,6 +375,38 @@ def test_failed_construction_identity_is_fatal(monkeypatch, tmp_path, capsys):
         Path(__file__).with_name("golden_outputs.json").read_text())
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         golden["modular-data 3 3 --theory psu"]["sha256"]
+
+
+def test_failed_orbit_check_is_a_computation_error(monkeypatch, capsys):
+    # with the cyclic action the identity, every orbit has one label, not
+    # alpha N': the reduced build stops with exit 2, not a traceback
+    monkeypatch.setattr(diagrams, "zn_action",
+                        lambda label, N, K, alpha: label)
+    assert main(["modular-data", "3", "3", "--theory", "reduced"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("computation error:")
+
+
+def test_fusion_gate_sees_a_spoiled_pieri_row(monkeypatch, capsys):
+    # P_1 sends the unit to itself in place of (1): the check of the Pieri
+    # matrices against S fails when the fusion matrices are built, at
+    # either depth
+    pieri_rows = moddata._pieri_rows
+
+    def spoiled(data):
+        pieri = pieri_rows(data)
+        pieri[1][data.unit_index] = [data.unit_index]
+        return pieri
+
+    monkeypatch.setattr(moddata, "_pieri_rows", spoiled)
+    for depth in ("quick", "full"):
+        assert verification_gates(3, 3, depth)["fusion_integrality"] is False
+    code, out = run(capsys, "verify", "3", "3")
+    assert code == 3
+    gates = json.loads(out)["gates"]
+    assert [name for name, ok in gates.items() if not ok] \
+        == ["fusion_integrality"]
 
 
 # ---------------------------------------------------------------------------

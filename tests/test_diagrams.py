@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 
 import pytest
 
@@ -83,6 +85,22 @@ def test_strict_sector_count(N, K):
     labels = enumerate_sector(N, K, "strict")
     expected = math.factorial(N + K - 1) // (math.factorial(N - 1) * math.factorial(K))
     assert len(labels) == expected
+
+
+@pytest.mark.parametrize("K", range(1, 7))
+def test_box_sectors_match_brute_force(K):
+    # every row-length tuple in range(K + 1), kept when weakly decreasing,
+    # in lexicographic order of the rows; boxes up to 8 x 6
+    boxes = []
+    for rows in range(9):
+        tuples = itertools.product(range(K + 1), repeat=rows)
+        boxes.append(sorted(
+            (YoungDiagram.of(*t) for t in tuples
+             if all(map(operator.ge, t, t[1:]))),
+            key=lambda d: d.rows))
+    for N in range(1, 9):
+        assert enumerate_sector(N, K, "bar") == boxes[N]
+        assert enumerate_sector(N, K, "strict") == boxes[N - 1]
 
 
 def test_sector_examples_22():

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -286,6 +287,31 @@ def test_fusion_check_sees_a_spoiled_s(N, K):
         assert spoiled[data.unit_index] != data.dims
         with pytest.raises(ScalarError):
             fusion_coefficients(replace(data, s_matrix=spoiled), EMPTY, EMPTY)
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("N,K", [(N, s - N) for s in range(3, 8)
+                                 for N in range(2, s)])
+def test_label_index(N, K, theory):
+    data = build_modular_data(N, K, theory)
+    assert [data.index(lab) for lab in data.labels] \
+        == list(range(len(data.labels)))
+    # the unit is the degree-zero label that is empty or (0, empty)
+    unit = next(k for k, lab in enumerate(data.labels)
+                if data.degree(lab) == 0 and (
+                    lab == EMPTY or (isinstance(lab, ReducedLabel)
+                                     and lab.i == 0 and lab.diagram == EMPTY)))
+    assert data.unit_index == unit
+    # a row of K + 1 cells lies outside every box of level K
+    wide = YoungDiagram.of(K + 1)
+    outside = ReducedLabel(0, wide) if theory == "reduced" else wide
+    message = re.escape(f"{outside} is not in the {theory} data at ({N}, {K})")
+    with pytest.raises(ScalarError, match=message):
+        data.index(outside)
+    with pytest.raises(ScalarError):
+        data.index(list(wide.rows))  # unhashable
+    with pytest.raises(ScalarError):
+        fusion_coefficients(data, outside, data.labels[unit])
 
 
 @pytest.mark.parametrize("theory", ["psu", "reduced"])

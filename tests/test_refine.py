@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
-from heckemod.cli import MANIFEST_NAMES, manifest_graph
+from heckemod.cli import MANIFEST_NAMES, load_manifest
 from heckemod.moddata import build_modular_data
 from heckemod.refine import (
     _abelian_gauss_sum,
@@ -35,6 +35,7 @@ from heckemod.surgery import (
     disjoint_union,
     empty_graph,
     linking_data,
+    parse_plumbing,
     random_forest,
     single_vertex,
     tau,
@@ -500,7 +501,8 @@ REDUCTION_CHAINS = {(3, 4): chain([3] * 35), (4, 3): chain([3] * 37)}
 def test_reduction_formula(NK):
     su = build_modular_data(*NK, "su")
     red = build_modular_data(*NK, "reduced")
-    graphs = list(map(manifest_graph, MANIFEST_NAMES))
+    graphs = [parse_plumbing(load_manifest(name)["graph"])
+              for name in MANIFEST_NAMES]
     if NK in REDUCTION_FORESTS:
         rng = random.Random(sum(NK))
         graphs += [random_forest(rng, 40) for _ in range(10)]
@@ -599,7 +601,8 @@ def test_reduced_equals_degree_zero_when_coprime():
     psu = build_modular_data(2, 3, "psu")
     su = build_modular_data(2, 3, "su")
     red = build_modular_data(2, 3, "reduced")
-    for g in map(manifest_graph, MANIFEST_NAMES):
+    for g in (parse_plumbing(load_manifest(name)["graph"])
+              for name in MANIFEST_NAMES):
         a = tau(g, psu).value.embed()
         b = tau(g, red).value.embed()
         assert abs(a - b) < 1e-9
