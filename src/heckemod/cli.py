@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from .diagrams import EMPTY, quantum_dimension
@@ -156,6 +155,7 @@ def _emit(doc, args) -> None:
 
 
 def load_manifest(name: str) -> dict:
+    from importlib import resources
     path = resources.files("heckemod").joinpath("manifests", f"{name}.json")
     with path.open() as fh:
         return json.load(fh)

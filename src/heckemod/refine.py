@@ -17,8 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import mpmath
-
 from .moddata import ModularData
 from .scalars import MIN_PRECISION, CycScalar, ExtScalar, ScalarError
 from .surgery import (PlumbingGraph, PlumbingVertex, _eliminate,
@@ -30,9 +28,6 @@ __all__ = [
     "characteristic_solutions",
     "refined_tau",
     "graded_gauss_sums",
-    "blowdown_transform",
-    "blowup_transform",
-    "u1_root_of_unity",
     "u1_gauss_unit",
     "u1_invariant",
     "reduction_check",
@@ -121,18 +116,11 @@ def characteristic_solutions(B, d: int, kind: str) -> SpinStructureSet:
     return SpinStructureSet(d, sorted(sols), kind)
 
 
-def is_characteristic(B, c, d: int, kind: str) -> bool:
-    target = _characteristic_target(B, d, kind)
-    m = len(B)
-    return all(sum(B[i][k] * c[k] for k in range(m)) % d == target[i] % d
-               for i in range(m))
-
-
 def _is_characteristic_on_forest(g: PlumbingGraph, c, d: int,
                                  kind: str) -> bool:
-    """is_characteristic(B, c, d, kind) for the linking matrix B of g, read
-    from the forest: (Bc)_v = framing_v c_v + the sum of c_u over the
-    surgery neighbours u of v."""
+    """Whether c solves the characteristic equation of the linking matrix B
+    of g mod d, read from the forest: (Bc)_v = framing_v c_v + the sum of
+    c_u over the surgery neighbours u of v."""
     surg = g.surgery_vertices
     index = {v.id: i for i, v in enumerate(surg)}
     half = d // 2 if kind == "spin" else 0
@@ -184,48 +172,21 @@ def graded_gauss_sums(data: ModularData):
     return [ExtScalar(p, 1, data.theory, data.omega) for p in parts]
 
 
-def blowup_transform(c, d: int, kind: str):
-    """Structure vector after appending an isolated +-1-framed vertex."""
-    extra = d // 2 if kind == "spin" else 0
-    return list(c) + [extra]
-
-
-def blowdown_transform(c, B, d: int, kind: str):
-    """Remove the last surgery component, which must be an isolated
-    +-1-framed vertex carrying the mandatory coefficient."""
-    m = len(B)
-    if m == 0:
-        raise ScalarError("nothing to blow down")
-    if B[m - 1][m - 1] not in (1, -1) or \
-            any(B[m - 1][k] for k in range(m - 1)):
-        raise ScalarError("last component is not an isolated +-1-framed vertex")
-    required = d // 2 if kind == "spin" else 0
-    if c[m - 1] % d != required:
-        raise ScalarError(
-            f"coefficient on the blown-down component must be {required}")
-    return list(c[:m - 1])
-
-
 # ---------------------------------------------------------------------------
 # the abelian Gauss-sum invariant
 # ---------------------------------------------------------------------------
 
 def _u1_exponent(su_data: ModularData, beta: int) -> int:
-    """The u, 0 <= u < M, with u1_root_of_unity(su_data, beta) = zeta^u:
-    a^K s^-1 is zeta^(K a_exp - s_exp), and -1 is zeta^(M/2) (M = 2N(N+K)
-    is even)."""
+    """The u, 0 <= u < M, with zeta_M^u the root of unity of the abelian
+    Gauss sum in the ring of the full theory: (a^K s^-1)^(K beta^2) for d
+    even, ((-a)^K s^-1)^(K beta^2) for d odd.  a^K s^-1 is
+    zeta^(K a_exp - s_exp), and -1 is zeta^(M/2) (M = 2N(N+K) is even)."""
     ctx = su_data.ctx
     K = su_data.K
     base = K * ctx.a_exp - ctx.s_exp
     if su_data.grading_modulus % 2:
         base += K * (ctx.M // 2)
     return base * K * beta * beta % ctx.M
-
-
-def u1_root_of_unity(su_data: ModularData, beta: int) -> CycScalar:
-    """zeta = (a^K s^-1)^(K beta^2) for d even, ((-a)^K s^-1)^(K beta^2)
-    for d odd, in the ring of the full theory."""
-    return su_data.ctx.zeta(_u1_exponent(su_data, beta))
 
 
 def u1_gauss_unit(su_data: ModularData, red_data: ModularData) -> CycScalar:
@@ -260,6 +221,7 @@ def u1_invariant(g: PlumbingGraph, su_data: ModularData,
     Gauss sum under the su normalization over 1 under the reduced one."""
     m, sigma = _signature(g)
     gauss = _abelian_gauss_sum(g, su_data, red_data)
+    import mpmath
     with mpmath.workdps(MIN_PRECISION + 15):
         return _normalized(gauss, sigma, m, su_data).embed() \
             / _normalized(red_data.ctx.one(), sigma, m, red_data).embed()

@@ -21,8 +21,6 @@ from functools import cached_property, lru_cache
 from operator import add, mul, sub
 from typing import Iterable
 
-import mpmath
-
 
 # fewest significant digits of a complex embedding
 MIN_PRECISION = 15
@@ -282,10 +280,13 @@ def _canonical(ring: RingContext, nums: tuple, den: int) -> "CycScalar":
 
 def _embed(ring: RingContext, coeffs, precision: int):
     """Value at zeta = exp(2*pi*i/M) of the scalar of ``ring`` whose
-    power-basis coefficients are ``coeffs`` (reduced Fractions)."""
+    power-basis coefficients are ``coeffs`` (reduced Fractions).  mpmath is
+    imported here, at the first embedding, so a process that embeds nothing
+    never loads it."""
     if precision < MIN_PRECISION:
         raise ScalarError(
             f"precision must be at least {MIN_PRECISION} digits")
+    import mpmath
     with mpmath.workdps(precision + 15):
         powers = ring._embedded_powers.get(precision)
         if powers is None:
@@ -463,11 +464,6 @@ class CycScalar:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ScalarError("scalar is not rational")
-        return Fraction(self.nums[0], self.den)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.from_rational(other)
@@ -477,6 +473,9 @@ class CycScalar:
                 and self.nums == other.nums)
 
     def __hash__(self):
+        # a rational scalar equals its int or Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.ring.M, self.nums, self.den))
 
     # -- embedding ------------------------------------------------------------
@@ -661,6 +660,7 @@ class ExtScalar:
     def _times_eta_power(self, val, precision: int):
         """val, the embedded base, times the embedded eta^eta_pow."""
         if self.eta_pow:
+            import mpmath
             with mpmath.workdps(precision + 15):
                 om = self.omega.embed(precision)
                 eta = 1 / mpmath.sqrt(om.real)
@@ -793,6 +793,7 @@ def scalar_to_json(x: CycScalar | ExtScalar, precision: int = 15) -> dict:
 
 
 def _complex_json(val, precision: int) -> dict:
+    import mpmath
     with mpmath.workdps(precision):
         return {"re": mpmath.nstr(val.real, precision),
                 "im": mpmath.nstr(val.imag, precision)}

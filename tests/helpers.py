@@ -1,8 +1,11 @@
 """Constructions that only the tests use: central idempotents, Young
 quasi-idempotents, the quantum hook product and the tensor embeddings of
 Hecke elements, the general-v form of the quantum dimension, the hook
-length of one cell, a scalar read back from its JSON form, the products of
-scalar rows by a plain loop, and fusion by the plain Verlinde sum."""
+length of one cell, a scalar read back from its JSON form and the value of
+a rational one, the products of scalar rows by a plain loop, fusion by the
+plain Verlinde sum, the characteristic equation on the dense linking
+matrix, the structure vectors of a blow-up and a blow-down, and the root of
+unity of the abelian Gauss sum."""
 
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ from heckemod.hecke import (
     standard_tableaux,
     symmetrizer,
 )
+from heckemod.refine import _characteristic_target, _u1_exponent
 from heckemod.scalars import CycScalar, RingContext, ScalarError
 
 
@@ -115,6 +119,14 @@ def scalar_from_json(doc: dict, ring: RingContext) -> CycScalar:
     return ring.from_coeffs(coeffs)
 
 
+def rational_value(x: CycScalar) -> Fraction:
+    """The rational number that the scalar x is; ScalarError when it is
+    not rational."""
+    if not x.is_rational():
+        raise ScalarError("scalar is not rational")
+    return Fraction(x.nums[0], x.den)
+
+
 def plain_dot(xs, ys) -> list:
     """[sum_k x_ik y_jk for each row j of ys] for each row i of xs, as a
     plain loop of scalar products."""
@@ -144,5 +156,42 @@ def verlinde_fusion(data, lam, mu) -> dict:
     for nu, row in zip(data.labels, S):
         val = sum((w * x.conjugate() for w, x in zip(weights, row)), zero)
         if not val.is_zero():
-            out[nu] = val.rational_value()
+            out[nu] = rational_value(val)
     return out
+
+
+def is_characteristic(B, c, d: int, kind: str) -> bool:
+    """Whether B c = (d/2) diag(B) (spin) or B c = 0 (coho) mod d, by the
+    dense rows of B."""
+    target = _characteristic_target(B, d, kind)
+    m = len(B)
+    return all(sum(B[i][k] * c[k] for k in range(m)) % d == target[i] % d
+               for i in range(m))
+
+
+def blowup_transform(c, d: int, kind: str):
+    """Structure vector after appending an isolated +-1-framed vertex."""
+    extra = d // 2 if kind == "spin" else 0
+    return list(c) + [extra]
+
+
+def blowdown_transform(c, B, d: int, kind: str):
+    """Remove the last surgery component, which must be an isolated
+    +-1-framed vertex carrying the mandatory coefficient."""
+    m = len(B)
+    if m == 0:
+        raise ScalarError("nothing to blow down")
+    if B[m - 1][m - 1] not in (1, -1) or \
+            any(B[m - 1][k] for k in range(m - 1)):
+        raise ScalarError("last component is not an isolated +-1-framed vertex")
+    required = d // 2 if kind == "spin" else 0
+    if c[m - 1] % d != required:
+        raise ScalarError(
+            f"coefficient on the blown-down component must be {required}")
+    return list(c[:m - 1])
+
+
+def u1_root_of_unity(su_data, beta: int) -> CycScalar:
+    """zeta = (a^K s^-1)^(K beta^2) for d even, ((-a)^K s^-1)^(K beta^2)
+    for d odd, in the ring of the full theory."""
+    return su_data.ctx.zeta(_u1_exponent(su_data, beta))

@@ -60,6 +60,7 @@ from heckemod.surgery import (
 from helpers import (
     central_idempotent,
     quantum_hook_product,
+    rational_value,
     tensor_right,
     young_quasi_idempotent,
 )
@@ -176,7 +177,7 @@ def test_criterion_04_verlinde_dimensions():
         except ScalarError as ex:
             failures.append(f"verlinde at {(N, K)}: {ex}")
         d1 = verlinde_dimension(su, 1)
-        if not (d1.is_rational() and d1.rational_value() == len(su.labels)):
+        if not (d1.is_rational() and rational_value(d1) == len(su.labels)):
             failures.append(f"d_1 != |labels| at {(N, K)}")
     check(4, "verlinde dimensions", 10, failures, time.perf_counter() - t0)
 

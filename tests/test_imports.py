@@ -1,13 +1,21 @@
-"""Every module-level import of the package and of the tests is used.
+"""Every module-level import of the package and of the tests is used, and
+the package loads mpmath and ``importlib.resources`` only where it uses them.
 
 No linter runs in CI, so this stdlib check catches an import that a module
 binds and never reads.  A name counts as read when the module loads it
 anywhere (as a name, or as the base of an attribute) or lists it in
 ``__all__``; the package's ``__init__.py`` only re-exports, so it is not
 checked.
+
+The lazy imports are checked in fresh interpreters started with ``-S``, so
+that site-packages (and with it mpmath) is out of reach: the pytest process
+has both modules loaded already.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +61,34 @@ def test_unused_import_check_sees_an_unused_name():
               "from typing import List\n__all__ = ['List']\n"
               "x: 'unused' = math.pi\n")
     assert unused_imports(source) == [(1, "itertools"), (3, "p")]
+
+
+def run_without_site(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter without site-packages, with the
+    package's source on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_modules_load_without_mpmath_or_resources():
+    done = run_without_site(
+        "import sys\n"
+        "from heckemod import (cli, diagrams, hecke, moddata, refine,\n"
+        "                      scalars, surgery)\n"
+        "print(sorted({'mpmath', 'importlib.resources'} & set(sys.modules)))\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_hecke_check_runs_without_mpmath():
+    # under -S mpmath cannot be imported at all, so a command that reached
+    # an embedding would fail here
+    done = run_without_site(
+        "import importlib.util, sys\n"
+        "from heckemod.cli import main\n"
+        "assert importlib.util.find_spec('mpmath') is None\n"
+        "code = main(['hecke-check', '2', '3'])\n"
+        "print(code, 'mpmath' in sys.modules, file=sys.stderr)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "0 False"

@@ -49,7 +49,7 @@ from heckemod.scalars import (
     su_parameters,
 )
 
-from helpers import plain_dot, verlinde_fusion
+from helpers import plain_dot, rational_value, verlinde_fusion
 
 SU_GRID = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
 
@@ -373,7 +373,7 @@ def test_verlinde(N, K):
     for g in (2, 3):
         val = verlinde_dimension(data, g)
         assert val.is_rational()
-        q = val.rational_value()
+        q = rational_value(val)
         assert q.denominator == 1 and q > 0
 
 

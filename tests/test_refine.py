@@ -13,16 +13,12 @@ from heckemod.moddata import build_modular_data
 from heckemod.refine import (
     _abelian_gauss_sum,
     _is_characteristic_on_forest,
-    blowdown_transform,
-    blowup_transform,
     characteristic_solutions,
     graded_gauss_sums,
-    is_characteristic,
     reduction_check,
     refined_tau,
     u1_gauss_unit,
     u1_invariant,
-    u1_root_of_unity,
 )
 from heckemod.scalars import ExtScalar, ScalarError
 from heckemod.surgery import (
@@ -39,6 +35,13 @@ from heckemod.surgery import (
     random_forest,
     single_vertex,
     tau,
+)
+
+from helpers import (
+    blowdown_transform,
+    blowup_transform,
+    is_characteristic,
+    u1_root_of_unity,
 )
 
 

@@ -236,6 +236,27 @@ def test_ext_scalar_zero_hash_agrees_with_eq(ctx22):
     assert one0 != one1 and len({one0, one1}) == 2
 
 
+@pytest.mark.parametrize("ctx", [
+    su_parameters(2, 2), su_parameters(2, 3), su_parameters(3, 3),
+    solve_framing_reduced(2, 6)[2]],
+    ids=["su22", "su23", "su33", "reduced26"])
+def test_rational_scalar_hashes_as_its_rational(ctx):
+    # a rational scalar equals its int or Fraction, so it must hash as it
+    # and stand for it as a set member or a dict key
+    rng = random.Random(ctx.M)
+    qs = [0, 1, -1] + [Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                       for _ in range(20)]
+    for q in qs:
+        x = ctx.from_rational(q)
+        assert x == q and hash(x) == hash(q)
+        assert len({x, q}) == 1
+        assert {q: "x"}.get(x) == "x" and {x: "x"}.get(q) == "x"
+    assert len({ctx.one(), 1}) == 1
+    # an irrational scalar still differs from every rational
+    z = ctx.zeta(1)
+    assert all(z != q for q in qs) and {1: "x"}.get(z) is None
+
+
 # ---------------------------------------------------------------------------
 # Fraction reference for the integer core: schoolbook product with long
 # division by Phi_M, and the extended Euclidean inverse over Q
